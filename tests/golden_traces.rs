@@ -26,7 +26,7 @@ use neuropuls_protocols::attestation::{
 use neuropuls_protocols::attestation::{WireAttestationVerifier, WireAttestingDevice};
 use neuropuls_protocols::eke::{run_wire_exchange, EkeParty, WireEkeInitiator, WireEkeResponder};
 use neuropuls_protocols::gateway::{
-    run_gateway, ClassId, DeficitWeightedRoundRobin, GatewayConfig, SessionPair,
+    run_gateway, ClassId, DeficitWeightedRoundRobin, GatewayConfig, GatewayReport, SessionPair,
 };
 use neuropuls_protocols::mutual_auth::{
     run_wire_session, Device, Verifier, WireDevice, WireVerifier,
@@ -36,6 +36,7 @@ use neuropuls_protocols::secure_nn::{
 };
 use neuropuls_protocols::transport::{FaultRates, FaultyChannel};
 use neuropuls_protocols::wire::{ProtocolId, SessionConfig};
+use neuropuls_protocols::ProtocolError;
 use neuropuls_puf::bits::Response;
 use neuropuls_puf::photonic::PhotonicPuf;
 use neuropuls_rt::trace::{Registry, Tracer};
@@ -378,4 +379,140 @@ fn golden_gateway_wfq() {
     assert!(report.all_completed(), "{report:?}");
     assert_eq!(report.policy, "dwrr", "{report:?}");
     check_golden("gateway_wfq", &tracer.to_jsonl());
+}
+
+/// Ten mutual-authentication sessions and one duplicate key through a
+/// three-wide active set over a lossy, duplicating link, cut off by the
+/// tick budget. The fixture pins five backlog situations at once: a live
+/// backlog behind `max_active = 3`; a tick on which the whole active set
+/// closes while sessions still wait, followed by an admission tick that
+/// is not a multiple of three (so the round-robin rotation must keep
+/// counting from the run's first tick, not restart with the new cohort);
+/// a duplicate key failing at submission; a budget cutoff that leaves a
+/// session never admitted; and late duplicates of closed sessions'
+/// frames.
+#[test]
+fn golden_gateway_backlog() {
+    let (report, jsonl) = backlog_run(BACKLOG_SEED, BACKLOG_TICKS);
+    assert_eq!(report.peak_active, 3, "{report:?}");
+    let dups = report
+        .outcomes
+        .iter()
+        .filter(|o| matches!(o.result, Err(ProtocolError::OutOfOrder(_))))
+        .count();
+    assert_eq!(dups, 1, "{report:?}");
+    assert!(report.unfinished >= 1, "{report:?}");
+    assert!(
+        report
+            .outcomes
+            .iter()
+            .any(|o| o.admitted_at.is_none()
+                && matches!(o.result, Err(ProtocolError::Timeout { .. }))),
+        "a session must be left in the backlog: {report:?}"
+    );
+    assert!(report.late_frames > 0, "{report:?}");
+    assert!(
+        full_close_before_unaligned_admission(&jsonl),
+        "no tick closes the whole active set ahead of an admission off the rotation origin"
+    );
+    check_golden("gateway_backlog", &jsonl);
+}
+
+const BACKLOG_SEED: u64 = 0x601D_0008;
+const BACKLOG_TICKS: u64 = 7;
+
+fn backlog_run(seed: u64, max_ticks: u64) -> (GatewayReport, String) {
+    let cfg = SessionConfig::default();
+    let mut parties: Vec<(Device<PhotonicPuf>, Verifier)> = (0..11u64)
+        .map(|i| {
+            let (device, provisioned) = Device::provision(
+                PhotonicPuf::reference(DieId(0x70 + i), 1),
+                vec![0x5C ^ i as u8; 256],
+                b"golden-backlog-provision",
+            )
+            .expect("provisions");
+            (
+                device,
+                Verifier::new(provisioned, b"golden-backlog-verifier"),
+            )
+        })
+        .collect();
+    let sessions: Vec<SessionPair<'_>> = parties
+        .iter_mut()
+        .enumerate()
+        .map(|(i, (device, verifier))| {
+            // Submission 4 reuses submission 1's key.
+            let sid = if i == 4 { 2 } else { i as u64 + 1 };
+            SessionPair::new(
+                ProtocolId::MutualAuth,
+                sid,
+                Box::new(WireVerifier::new(verifier, sid, cfg)),
+                Box::new(WireDevice::new(device, cfg)),
+            )
+        })
+        .collect();
+    let rates = FaultRates {
+        drop: 0.05,
+        duplicate: 0.2,
+        replay: 0.1,
+        ..FaultRates::none()
+    };
+    let mut channel = FaultyChannel::new(rates, seed);
+    let mut tracer = Tracer::new();
+    let report = run_gateway(
+        &mut channel,
+        sessions,
+        GatewayConfig {
+            max_active: 3,
+            accept_queue: 3,
+            max_ticks,
+            ..GatewayConfig::default()
+        },
+        &mut tracer,
+        &Registry::new(),
+    );
+    (report, tracer.to_jsonl())
+}
+
+/// `(tick, name)` of every event in a JSONL trace.
+fn trace_events(jsonl: &str) -> Vec<(u64, &str)> {
+    jsonl
+        .lines()
+        .filter_map(|line| {
+            let tick = line.strip_prefix("{\"tick\":")?;
+            let tick: u64 = tick[..tick.find(',')?].parse().ok()?;
+            let name = line.split("\"name\":\"").nth(1)?;
+            Some((tick, &name[..name.find('"')?]))
+        })
+        .collect()
+}
+
+/// Whether some tick closes every active session while later sessions
+/// still wait, and the next admission lands on a tick that is not a
+/// multiple of the three-wide active set.
+fn full_close_before_unaligned_admission(jsonl: &str) -> bool {
+    let events = trace_events(jsonl);
+    let count = |tick: u64, name: &str| {
+        events
+            .iter()
+            .filter(|&&(t, n)| t == tick && n == name)
+            .count()
+    };
+    let last = events.last().map_or(0, |&(t, _)| t);
+    let mut active = 0usize;
+    for tick in 0..=last {
+        active += count(tick, "gateway.admit");
+        let closed = count(tick, "gateway.session_closed");
+        if closed >= 2 && closed == active {
+            let next = events
+                .iter()
+                .find(|&&(t, n)| t > tick && n == "gateway.admit")
+                .map(|&(t, _)| t);
+            if next.is_some_and(|t| t % 3 != 0) {
+                return true;
+            }
+        }
+        active -= closed;
+    }
+    false
 }
