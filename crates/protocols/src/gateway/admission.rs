@@ -1,14 +1,14 @@
 //! Admission policies: who leaves the backlog next.
 //!
-//! Both gateway drivers funnel every would-be session through one
-//! question — *which queued request is admitted next?* — and delegate
-//! the answer to an [`AdmissionPolicy`]. The policy sees an opaque
+//! The gateway funnels every would-be session through one question —
+//! *which queued request is admitted next?* — and delegates the answer
+//! to an [`AdmissionPolicy`]. The policy sees an opaque
 //! [`AdmissionRequest`] (slot index, traffic [`ClassId`], submission
-//! tick, optional admission deadline) and hands back slot indices one
-//! at a time; everything else about scheduling (accept-queue bounds,
-//! active-set capacity, tick cadence) stays in the drivers.
+//! tick) and hands back slot indices one at a time; everything else
+//! about scheduling (accept-queue bounds, live-set capacity, tick
+//! cadence) stays in the gateway's tick loop.
 //!
-//! Three policies ship:
+//! Two policies ship:
 //!
 //! * [`Fifo`] — the default. Strict submission order, reproducing the
 //!   pre-policy gateway byte for byte (the golden transcripts pin
@@ -17,17 +17,12 @@
 //!   deficit round-robin ring with weight-proportional quanta. Every
 //!   backlogged class is served each ring cycle, so no class can be
 //!   head-of-line-blocked into starvation by another class's burst.
-//! * [`SlaDeadline`] — earliest-admission-deadline-first, ordered by
-//!   the deadline each session's [`NextWake`] announced at submission
-//!   (plus an optional per-class SLA offset), with FIFO tie-breaks.
 //!
-//! All three are deterministic: identical push/pop sequences yield
+//! Both are deterministic: identical push/pop sequences yield
 //! identical admission orders on any host at any thread count.
-//!
-//! [`NextWake`]: crate::wire::NextWake
 
 use crate::wire::ProtocolId;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Traffic class of one session: the unit of admission fairness.
 ///
@@ -71,7 +66,7 @@ impl ClassId {
     }
 }
 
-/// One queued admission candidate, as the drivers describe it to a
+/// One queued admission candidate, as the gateway describes it to a
 /// policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdmissionRequest {
@@ -81,16 +76,11 @@ pub struct AdmissionRequest {
     pub class: ClassId,
     /// Tick the request entered the backlog.
     pub submitted: u64,
-    /// Absolute admission deadline announced by the session's
-    /// [`NextWake`](crate::wire::NextWake) at submission; `None` means
-    /// frame-driven only (no deadline — admit last under
-    /// [`SlaDeadline`]).
-    pub deadline: Option<u64>,
 }
 
 /// Backlog ordering discipline of one gateway run.
 ///
-/// The driver pushes every submitted session once and pops whenever
+/// The gateway pushes every submitted session once and pops whenever
 /// accept-queue space frees up; the policy owns the queued set in
 /// between. Implementations must be deterministic — `pop` order is a
 /// pure function of the push history — because the golden transcripts
@@ -114,8 +104,8 @@ pub trait AdmissionPolicy: std::fmt::Debug {
         self.len() == 0
     }
 
-    /// A fresh instance with the same configuration (weights, SLA
-    /// offsets) and an *empty* queue — how `Box<dyn AdmissionPolicy>`
+    /// A fresh instance with the same configuration (weights) and an
+    /// *empty* queue — how `Box<dyn AdmissionPolicy>`
     /// clones. Configs are cloned between runs, never mid-run, so the
     /// queued state is deliberately not carried over.
     fn fresh(&self) -> Box<dyn AdmissionPolicy>;
@@ -288,72 +278,6 @@ impl AdmissionPolicy for DeficitWeightedRoundRobin {
     }
 }
 
-/// Earliest-admission-deadline-first.
-///
-/// Orders the backlog by each request's announced admission deadline
-/// (from [`NextWake::admission_deadline`]) plus an optional per-class
-/// SLA offset; deadline ties break by submission order, so a backlog
-/// whose deadlines are all equal — every fresh initiator announcing
-/// `EveryTick` — admits exactly like [`Fifo`]. Requests without a
-/// deadline (frame-driven sides) are admitted last, again in FIFO
-/// order.
-///
-/// [`NextWake::admission_deadline`]: crate::wire::NextWake::admission_deadline
-#[derive(Debug, Clone, Default)]
-pub struct SlaDeadline {
-    offsets: BTreeMap<ClassId, u64>,
-    /// `(effective deadline, arrival sequence, slot idx)` — the set
-    /// order is the admission order.
-    queue: BTreeSet<(u64, u64, usize)>,
-    seq: u64,
-}
-
-impl SlaDeadline {
-    /// An empty deadline queue with no SLA offsets.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Relaxes `class`'s deadlines by `offset` ticks: a class with a
-    /// looser SLA yields to tighter classes at equal announced
-    /// deadlines.
-    pub fn with_sla(mut self, class: ClassId, offset: u64) -> Self {
-        self.offsets.insert(class, offset);
-        self
-    }
-}
-
-impl AdmissionPolicy for SlaDeadline {
-    fn name(&self) -> &'static str {
-        "sla_deadline"
-    }
-
-    fn push(&mut self, request: AdmissionRequest) {
-        let base = request.deadline.unwrap_or(u64::MAX);
-        let offset = self.offsets.get(&request.class).copied().unwrap_or(0);
-        let deadline = base.saturating_add(offset);
-        self.queue.insert((deadline, self.seq, request.idx));
-        self.seq += 1;
-    }
-
-    fn pop(&mut self) -> Option<usize> {
-        let first = self.queue.pop_first()?;
-        Some(first.2)
-    }
-
-    fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    fn fresh(&self) -> Box<dyn AdmissionPolicy> {
-        Box::new(Self {
-            offsets: self.offsets.clone(),
-            queue: BTreeSet::new(),
-            seq: 0,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -363,7 +287,6 @@ mod tests {
             idx,
             class: ClassId(class),
             submitted: 0,
-            deadline: Some(0),
         }
     }
 
@@ -448,65 +371,6 @@ mod tests {
         // on the next rotation.
         p.push(req(10, 2));
         assert_eq!(drain(&mut p), vec![1, 10, 2]);
-    }
-
-    #[test]
-    fn sla_orders_by_deadline_with_fifo_ties() {
-        let mut p = SlaDeadline::new();
-        p.push(AdmissionRequest {
-            idx: 0,
-            class: ClassId(1),
-            submitted: 0,
-            deadline: Some(9),
-        });
-        p.push(AdmissionRequest {
-            idx: 1,
-            class: ClassId(1),
-            submitted: 0,
-            deadline: Some(3),
-        });
-        p.push(AdmissionRequest {
-            idx: 2,
-            class: ClassId(1),
-            submitted: 0,
-            deadline: Some(3),
-        });
-        p.push(AdmissionRequest {
-            idx: 3,
-            class: ClassId(1),
-            submitted: 0,
-            deadline: None, // frame-driven: admitted last
-        });
-        assert_eq!(drain(&mut p), vec![1, 2, 0, 3]);
-    }
-
-    #[test]
-    fn sla_equal_deadlines_is_fifo() {
-        let mut p = SlaDeadline::new();
-        for i in 0..12 {
-            p.push(req(i, (i % 4) as u8));
-        }
-        assert_eq!(drain(&mut p), (0..12).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn sla_class_offsets_relax_deadlines() {
-        let mut p = SlaDeadline::new().with_sla(ClassId(2), 100);
-        p.push(AdmissionRequest {
-            idx: 0,
-            class: ClassId(2),
-            submitted: 0,
-            deadline: Some(0),
-        });
-        p.push(AdmissionRequest {
-            idx: 1,
-            class: ClassId(1),
-            submitted: 0,
-            deadline: Some(50),
-        });
-        // Class 2's offset pushes its effective deadline to 100, behind
-        // class 1's 50.
-        assert_eq!(drain(&mut p), vec![1, 0]);
     }
 
     #[test]

@@ -1,17 +1,13 @@
 //! The persistent driver: long-lived resident slots firing periodic
 //! re-attestation epochs, with idle fast-forward between them.
 
-use super::admission::{AdmissionPolicy, AdmissionRequest, ClassId, Fifo};
-use super::protocol_label;
+use super::admission::{AdmissionPolicy, ClassId, Fifo};
+use super::engine::{self, EngineConfig, Flavor};
 use super::report::PersistentReport;
-use super::slot::{step_side_core, WakeState};
 use crate::error::ProtocolError;
-use crate::transport::{Side, Transport};
-use crate::wire::{Envelope, ProtocolId, Session};
-use neuropuls_rt::codec::FromBytes;
-use neuropuls_rt::sched::{TimerId, TimerWheel};
+use crate::transport::Transport;
+use crate::wire::{ProtocolId, Session};
 use neuropuls_rt::trace::{Registry, Tracer, Value};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// One epoch's session pair, built by a [`KeepAlive`] controller when a
 /// slot's re-attestation timer fires.
@@ -22,9 +18,9 @@ pub struct EpochSession<I, R> {
     /// stale frame from an earlier epoch must never key-match a live
     /// session, only ever land in the late-frame bin.
     pub id: u64,
-    /// The [`Side::A`] endpoint.
+    /// The [`Side::A`](crate::transport::Side::A) endpoint.
     pub initiator: I,
-    /// The [`Side::B`] endpoint.
+    /// The [`Side::B`](crate::transport::Side::B) endpoint.
     pub responder: R,
 }
 
@@ -69,9 +65,9 @@ pub enum SlotVerdict {
 /// epoch close — e.g. a `WireVerifier<Verifier>` checked out of a CRP
 /// store at fire time and committed back at close.
 pub trait KeepAlive {
-    /// The [`Side::A`] endpoint type for this controller's epochs.
+    /// The [`Side::A`](crate::transport::Side::A) endpoint type for this controller's epochs.
     type Initiator: Session;
-    /// The [`Side::B`] endpoint type for this controller's epochs.
+    /// The [`Side::B`](crate::transport::Side::B) endpoint type for this controller's epochs.
     type Responder: Session;
 
     /// A slot's re-attestation timer fired at `now`: build the epoch's
@@ -134,225 +130,17 @@ impl Default for PersistentConfig {
     }
 }
 
-/// One live epoch riding a resident slot.
-struct LiveEpoch<I, R> {
-    protocol: ProtocolId,
-    id: u64,
-    epoch: u32,
-    initiator: I,
-    responder: R,
-    inbox_a: VecDeque<Vec<u8>>,
-    inbox_b: VecDeque<Vec<u8>>,
-    wake_a: WakeState,
-    wake_b: WakeState,
-    started_at: u64,
-    deadline: Option<TimerId>,
-    /// Set by a failing `Session::step`; success is computed at close.
-    result: Option<Result<u32, ProtocolError>>,
-}
-
-/// One resident device slot: alive from its first fire until it leaves
-/// or is evicted, holding at most one live epoch at a time.
-struct KeepSlot<I, R> {
-    live: Option<LiveEpoch<I, R>>,
-    next_epoch: u32,
-    fire: Option<TimerId>,
-    joined_at: Option<u64>,
-    departed_at: Option<u64>,
-}
-
-/// Timer-token kinds for persistent slots: `token = slot * 4 + kind`.
-const KIND_WAKE_A: u64 = 0;
-const KIND_WAKE_B: u64 = 1;
-const KIND_FIRE: u64 = 2;
-const KIND_DEADLINE: u64 = 3;
-
-fn keep_token(idx: usize, kind: u64) -> u64 {
-    ((idx as u64) << 2) | kind
-}
-
-/// Frame-classification counters shared by both route directions.
-#[derive(Default)]
-struct FrameCounters {
-    late: u64,
-    unroutable: u64,
-    undecodable: u64,
-}
-
-/// [`runnable_order`] for persistent slots: a candidate is runnable
-/// while its slot holds a live epoch.
-///
-/// [`runnable_order`]: super::slot::runnable_order
-fn keep_runnable_order<I, R>(
-    cand: &mut Vec<usize>,
-    slots: &[KeepSlot<I, R>],
-    position: &[usize],
-    len: usize,
-    rotation: usize,
-) -> Vec<usize> {
-    if len == 0 {
-        cand.clear();
-        return Vec::new();
-    }
-    let mut keyed: Vec<(usize, usize)> = cand
-        .drain(..)
-        .filter(|&idx| {
-            slots.get(idx).is_some_and(|s| s.live.is_some())
-                && position.get(idx).is_some_and(|&p| p != usize::MAX)
-        })
-        .map(|idx| ((position[idx] + len - rotation) % len, idx))
-        .collect();
-    keyed.sort_unstable();
-    keyed.dedup();
-    keyed.into_iter().map(|(_, idx)| idx).collect()
-}
-
-/// Drains one transport direction into live-epoch inboxes, classifying
-/// everything else: closed-epoch keys are late, never-seen keys are
-/// unroutable, undecodable bytes are counted and dropped.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "all per-tick scheduler state is threaded explicitly"
-)]
-fn route_keepalive<T: Transport, I, R>(
-    transport: &mut T,
-    side: Side,
-    slots: &mut [KeepSlot<I, R>],
-    routes: &BTreeMap<(ProtocolId, u64), usize>,
-    closed_keys: &BTreeSet<(ProtocolId, u64)>,
-    tracer: &mut Tracer,
-    tick: u64,
-    pending: &mut Vec<usize>,
-    counters: &mut FrameCounters,
-) {
-    while let Some(frame) = transport.recv(side) {
-        let Ok(env) = Envelope::from_bytes(&frame) else {
-            counters.undecodable += 1;
-            continue;
-        };
-        let key = (env.protocol, env.session);
-        match routes.get(&key) {
-            Some(&idx) => {
-                let Some(live) = slots.get_mut(idx).and_then(|s| s.live.as_mut()) else {
-                    counters.unroutable += 1;
-                    continue;
-                };
-                if side == Side::A {
-                    live.inbox_a.push_back(frame);
-                } else {
-                    live.inbox_b.push_back(frame);
-                }
-                pending.push(idx);
-            }
-            None if closed_keys.contains(&key) => {
-                counters.late += 1;
-                if tracer.is_enabled() {
-                    tracer.instant(
-                        tick,
-                        "keepalive.late_frame",
-                        vec![
-                            ("protocol", Value::from(protocol_label(env.protocol))),
-                            ("session", Value::from(env.session)),
-                        ],
-                    );
-                }
-            }
-            None => {
-                counters.unroutable += 1;
-                if tracer.is_enabled() {
-                    tracer.instant(
-                        tick,
-                        "keepalive.unroutable",
-                        vec![
-                            ("protocol", Value::from(protocol_label(env.protocol))),
-                            ("session", Value::from(env.session)),
-                        ],
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// [`step_wake`] for persistent slots: steps one runnable side of one
-/// live epoch through [`step_side_core`], records a step failure on the
-/// epoch and carries the side when frames stay queued.
-///
-/// [`step_wake`]: super::slot::step_wake
-#[expect(
-    clippy::too_many_arguments,
-    reason = "all per-tick scheduler state is threaded explicitly"
-)]
-fn step_keepalive<T: Transport, I: Session, R: Session>(
-    transport: &mut T,
-    slots: &mut [KeepSlot<I, R>],
-    wheel: &mut TimerWheel,
-    idx: usize,
-    side: Side,
-    tick: u64,
-    session_steps: &mut u64,
-    carry: &mut Vec<usize>,
-    touched: &mut Vec<usize>,
-) {
-    let Some(slot) = slots.get_mut(idx) else {
-        return;
-    };
-    let Some(live) = slot.live.as_mut() else {
-        return;
-    };
-    if live.result.is_some() {
-        return;
-    }
-    let frame = match side {
-        Side::A => live.inbox_a.pop_front(),
-        Side::B => live.inbox_b.pop_front(),
-    };
-    let queued_after = match side {
-        Side::A => !live.inbox_a.is_empty(),
-        Side::B => !live.inbox_b.is_empty(),
-    };
-    let kind = match side {
-        Side::A => KIND_WAKE_A,
-        Side::B => KIND_WAKE_B,
-    };
-    let (session, wake): (&mut dyn Session, &mut WakeState) = match side {
-        Side::A => (&mut live.initiator, &mut live.wake_a),
-        Side::B => (&mut live.responder, &mut live.wake_b),
-    };
-    let out = step_side_core(
-        transport,
-        session,
-        wake,
-        frame,
-        wheel,
-        keep_token(idx, kind),
-        side,
-        tick,
-        session_steps,
-    );
-    if !out.stepped {
-        return;
-    }
-    touched.push(idx);
-    if let Some(e) = out.error {
-        live.result = Some(Err(e));
-    }
-    if live.result.is_none() && queued_after {
-        carry.push(idx);
-    }
-}
-
 /// Drives a fleet of long-lived keep-alive slots over one shared
 /// transport. Each slot stays resident across its whole lifetime;
 /// periodic re-attestation epochs are armed as timers on the runtime
 /// timer wheel and the loop fast-forwards over the idle gaps between
-/// epochs (no live session and no carried frames ⇒ jump straight to
-/// the next armed deadline). Within an epoch the per-tick cadence is
-/// exactly [`run_gateway`]'s: route A → step runnable initiators →
-/// route B → step runnable responders → close, with the same
-/// tick-rotated fairness (rotation restarts whenever the live set goes
-/// from empty to non-empty, so a lone cohort of epochs replays the
-/// dense loop's `tick % len` rotation from zero).
+/// epochs (nothing open and no carried frames ⇒ jump straight to the
+/// next armed deadline). Within an epoch the per-tick cadence is
+/// exactly [`run_gateway`]'s — the two drivers share one tick loop —
+/// with unbounded admission: every fired epoch goes live on its fire
+/// tick. Rotation restarts whenever a fire finds the gateway fully
+/// idle, so a lone cohort of epochs replays a fresh [`run_gateway`]
+/// run's rotation from zero.
 ///
 /// `first_fire[i]` arms slot `i`'s first epoch; ticks start at 1 (a
 /// `first_fire` of 0 fires at tick 1). Same-tick fires are ordered by
@@ -360,6 +148,12 @@ fn step_keepalive<T: Transport, I: Session, R: Session>(
 /// the default [`Fifo`] over default classes admits in slot order, so
 /// a zero-jitter cohort builds its sessions in exactly the device
 /// order a round-by-round sweep would.
+///
+/// Instrumentation: `keepalive.fire` / `keepalive.close` /
+/// `keepalive.evict` / `keepalive.leave` instants per slot event,
+/// `keepalive.late_frame` / `keepalive.unroutable` instants for
+/// stragglers, a closing `keepalive.result` instant, and `keepalive.*`
+/// counters plus a `keepalive.epoch_ticks` histogram in `registry`.
 ///
 /// [`run_gateway`]: super::run_gateway
 pub fn run_persistent_gateway<T: Transport, K: KeepAlive>(
@@ -370,551 +164,62 @@ pub fn run_persistent_gateway<T: Transport, K: KeepAlive>(
     tracer: &mut Tracer,
     registry: &Registry,
 ) -> PersistentReport {
-    let n = first_fire.len();
     let PersistentConfig {
         horizon,
         epoch_budget,
-        mut policy,
+        policy,
     } = config;
-    let mut slots: Vec<KeepSlot<K::Initiator, K::Responder>> = (0..n)
-        .map(|_| KeepSlot {
-            live: None,
-            next_epoch: 0,
-            fire: None,
-            joined_at: None,
-            departed_at: None,
-        })
-        .collect();
-    let mut wheel = TimerWheel::new();
-    for (i, &at) in first_fire.iter().enumerate() {
-        slots[i].fire = Some(wheel.schedule_at(at, keep_token(i, KIND_FIRE)));
-    }
-    registry.counter("keepalive.slots", n as u64);
+    registry.counter("keepalive.slots", first_fire.len() as u64);
+    let run = engine::run(
+        transport,
+        first_fire,
+        controller,
+        EngineConfig {
+            flavor: Flavor::KeepAlive,
+            horizon,
+            epoch_budget,
+            max_active: usize::MAX,
+            accept_queue: usize::MAX,
+            policy,
+        },
+        tracer,
+        registry,
+    );
 
-    let mut routes: BTreeMap<(ProtocolId, u64), usize> = BTreeMap::new();
-    let mut closed_keys: BTreeSet<(ProtocolId, u64)> = BTreeSet::new();
-    let mut live_order: Vec<usize> = Vec::new();
-    let mut position: Vec<usize> = vec![usize::MAX; n];
-    // Rotation epoch base: reset whenever the live set goes from empty
-    // to non-empty so an isolated cohort rotates exactly like a dense
-    // run started at its fire tick.
-    let mut busy_base = 0u64;
-
-    let mut counters = FrameCounters::default();
-    let mut fired: Vec<(u64, u64)> = Vec::new();
-    let mut carry_a: Vec<usize> = Vec::new();
-    let mut carry_b: Vec<usize> = Vec::new();
-    let mut touched: Vec<usize> = Vec::new();
-    let mut fires: Vec<usize> = Vec::new();
-    let mut expired: Vec<usize> = Vec::new();
-
-    let mut joined = 0usize;
-    let mut left = 0usize;
-    let mut evicted = 0usize;
-    let mut epochs_fired = 0u64;
-    let mut epochs_completed = 0u64;
-    let mut epochs_failed = 0u64;
-    let mut epochs_missed = 0u64;
-    let mut retransmits = 0u64;
-    let mut peak_live = 0usize;
-    let mut session_steps = 0u64;
-    let mut dense_equiv_steps = 0u64;
-
-    let mut tick = 0u64;
-    loop {
-        // Pick the next tick anything can happen on. With no live
-        // epoch and no carried frames, jump straight to the next armed
-        // timer — the idle fast-forward between attestation epochs.
-        let idle = live_order.is_empty() && carry_a.is_empty() && carry_b.is_empty();
-        let next = if idle {
-            match wheel.next_deadline() {
-                Some(d) => d,
-                // No slot will ever fire again: the fleet has fully
-                // departed.
-                None => break,
-            }
-        } else {
-            tick + 1
-        };
-        if next > horizon {
-            break;
-        }
-        tick = next;
-
-        let mut now_a: Vec<usize> = std::mem::take(&mut carry_a);
-        let mut now_b: Vec<usize> = std::mem::take(&mut carry_b);
-
-        // Phase 1 — timers: wake fires feed the runnable sets, epoch
-        // fires admit new sessions, deadline fires force-close.
-        fired.clear();
-        wheel.advance_to(tick, &mut fired);
-        fires.clear();
-        expired.clear();
-        for &(_, token) in &fired {
-            let idx = (token >> 2) as usize;
-            match token & 3 {
-                KIND_WAKE_A => now_a.push(idx),
-                KIND_WAKE_B => now_b.push(idx),
-                KIND_FIRE => fires.push(idx),
-                _ => expired.push(idx),
-            }
-        }
-        // The wheel yields same-deadline timers in schedule order —
-        // i.e. the close order of the previous epochs. Slot order is
-        // the canonical pre-policy baseline, so sort first, then let
-        // the admission policy order the same-tick cohort by class
-        // (Fifo over default classes reproduces slot order exactly).
-        fires.sort_unstable();
-        expired.sort_unstable();
-        if fires.len() > 1 {
-            for &i in &fires {
-                policy.push(AdmissionRequest {
-                    idx: i,
-                    class: controller.class(i),
-                    submitted: tick,
-                    deadline: None,
-                });
-            }
-            fires.clear();
-            while let Some(i) = policy.pop() {
-                fires.push(i);
-            }
-        }
-
-        // Phase 2 — epoch-budget expiries close their epochs as missed
-        // before anything steps this tick.
-        let mut any_expired = false;
-        for &i in &expired {
-            let (epoch, outcome, initiator, responder) = {
-                let Some(slot) = slots.get_mut(i) else {
-                    continue;
-                };
-                let Some(mut live) = slot.live.take() else {
-                    continue;
-                };
-                live.deadline = None;
-                for wake in [&mut live.wake_a, &mut live.wake_b] {
-                    if let Some(id) = wake.timer.take() {
-                        wheel.cancel(id);
-                    }
-                }
-                routes.remove(&(live.protocol, live.id));
-                closed_keys.insert((live.protocol, live.id));
-                let r = live.initiator.retransmits() + live.responder.retransmits();
-                retransmits += u64::from(r);
-                let outcome = EpochOutcome {
-                    result: Err(ProtocolError::Timeout { retries: r }),
-                    retransmits: r,
-                    missed_deadline: true,
-                };
-                (live.epoch, outcome, live.initiator, live.responder)
-            };
-            epochs_missed += 1;
-            if tracer.is_enabled() {
-                tracer.instant(
-                    tick,
-                    "keepalive.close",
-                    vec![
-                        ("slot", Value::from(i as u64)),
-                        ("epoch", Value::from(u64::from(epoch))),
-                        ("ok", Value::from(false)),
-                        ("missed", Value::from(true)),
-                        ("retransmits", Value::from(outcome.retransmits)),
-                    ],
-                );
-            }
-            let verdict = controller.on_close(i, epoch, tick, &outcome, initiator, responder);
-            apply_verdict(
-                &mut slots[i],
-                i,
-                verdict,
-                tick,
-                &mut wheel,
-                &mut evicted,
-                &mut dense_equiv_steps,
-                tracer,
-            );
-            any_expired = true;
-        }
-        if any_expired {
-            reindex_live(&mut live_order, &slots, &mut position);
-        }
-
-        // Phase 3 — epoch fires admit new sessions, mirroring
-        // `run_gateway`'s admission: both sides' first wakes derive
-        // from `next_wake` at the fire tick itself.
-        for &i in &fires {
-            let Some(slot) = slots.get(i) else {
-                continue;
-            };
-            if slot.live.is_some() || slot.departed_at.is_some() {
-                // A stale fire for a slot that was force-closed and
-                // re-armed the same tick cannot happen (re-arms clamp
-                // into the future); be safe anyway.
-                continue;
-            }
-            let epoch = slots[i].next_epoch;
-            slots[i].next_epoch += 1;
-            slots[i].fire = None;
-            match controller.on_fire(i, epoch, tick) {
-                None => {
-                    // Voluntary departure.
-                    if slots[i].joined_at.is_none() {
-                        slots[i].joined_at = Some(tick);
-                        joined += 1;
-                    }
-                    slots[i].departed_at = Some(tick);
-                    left += 1;
-                    dense_equiv_steps += resident_dense_steps(&slots[i], tick);
-                    if tracer.is_enabled() {
-                        tracer.instant(
-                            tick,
-                            "keepalive.leave",
-                            vec![("slot", Value::from(i as u64))],
-                        );
-                    }
-                }
-                Some(es) => {
-                    if slots[i].joined_at.is_none() {
-                        slots[i].joined_at = Some(tick);
-                        joined += 1;
-                    }
-                    epochs_fired += 1;
-                    let key = (es.protocol, es.id);
-                    if tracer.is_enabled() {
-                        tracer.instant(
-                            tick,
-                            "keepalive.fire",
-                            vec![
-                                ("slot", Value::from(i as u64)),
-                                ("epoch", Value::from(u64::from(epoch))),
-                                ("protocol", Value::from(protocol_label(es.protocol))),
-                                ("session", Value::from(es.id)),
-                            ],
-                        );
-                    }
-                    if routes.contains_key(&key) {
-                        // Session-id collision with a live epoch: the
-                        // epoch fails instantly instead of hijacking an
-                        // open route.
-                        epochs_failed += 1;
-                        let outcome = EpochOutcome {
-                            result: Err(ProtocolError::OutOfOrder(format!(
-                                "duplicate keepalive session key {}/{}",
-                                protocol_label(key.0),
-                                key.1
-                            ))),
-                            retransmits: 0,
-                            missed_deadline: false,
-                        };
-                        let verdict = controller.on_close(
-                            i,
-                            epoch,
-                            tick,
-                            &outcome,
-                            es.initiator,
-                            es.responder,
-                        );
-                        apply_verdict(
-                            &mut slots[i],
-                            i,
-                            verdict,
-                            tick,
-                            &mut wheel,
-                            &mut evicted,
-                            &mut dense_equiv_steps,
-                            tracer,
-                        );
-                        continue;
-                    }
-                    routes.insert(key, i);
-                    closed_keys.remove(&key);
-                    let mut live = LiveEpoch {
-                        protocol: es.protocol,
-                        id: es.id,
-                        epoch,
-                        initiator: es.initiator,
-                        responder: es.responder,
-                        inbox_a: VecDeque::new(),
-                        inbox_b: VecDeque::new(),
-                        wake_a: WakeState {
-                            next_dense_step: tick,
-                            ..WakeState::default()
-                        },
-                        wake_b: WakeState {
-                            next_dense_step: tick,
-                            ..WakeState::default()
-                        },
-                        started_at: tick,
-                        deadline: None,
-                        result: None,
-                    };
-                    if epoch_budget > 0 {
-                        live.deadline = Some(
-                            wheel.schedule_at(tick + epoch_budget, keep_token(i, KIND_DEADLINE)),
-                        );
-                    }
-                    for side in [Side::A, Side::B] {
-                        let session: &dyn Session = match side {
-                            Side::A => &live.initiator,
-                            Side::B => &live.responder,
-                        };
-                        let deadline = session.next_wake().admission_deadline(tick);
-                        let kind = match side {
-                            Side::A => KIND_WAKE_A,
-                            Side::B => KIND_WAKE_B,
-                        };
-                        let wake = match side {
-                            Side::A => &mut live.wake_a,
-                            Side::B => &mut live.wake_b,
-                        };
-                        if deadline == Some(tick) {
-                            match side {
-                                Side::A => now_a.push(i),
-                                Side::B => now_b.push(i),
-                            }
-                        } else if let Some(d) = deadline {
-                            wake.timer = Some(wheel.schedule_at(d, keep_token(i, kind)));
-                        }
-                    }
-                    if live_order.is_empty() {
-                        busy_base = tick;
-                    }
-                    slots[i].live = Some(live);
-                    position[i] = live_order.len();
-                    live_order.push(i);
-                }
-            }
-        }
-        peak_live = peak_live.max(live_order.len());
-
-        // Phases 4/5 — exactly `run_gateway`'s per-tick cadence on the
-        // live set, with rotation measured from the cohort's busy base.
-        let len = live_order.len();
-        let rotation = if len == 0 {
-            0
-        } else {
-            ((tick - busy_base) as usize) % len
-        };
-
-        route_keepalive(
-            transport,
-            Side::A,
-            &mut slots,
-            &routes,
-            &closed_keys,
-            tracer,
-            tick,
-            &mut now_a,
-            &mut counters,
-        );
-        let run_a = keep_runnable_order(&mut now_a, &slots, &position, len, rotation);
-        for &idx in &run_a {
-            step_keepalive(
-                transport,
-                &mut slots,
-                &mut wheel,
-                idx,
-                Side::A,
-                tick,
-                &mut session_steps,
-                &mut carry_a,
-                &mut touched,
-            );
-        }
-
-        route_keepalive(
-            transport,
-            Side::B,
-            &mut slots,
-            &routes,
-            &closed_keys,
-            tracer,
-            tick,
-            &mut now_b,
-            &mut counters,
-        );
-        let run_b = keep_runnable_order(&mut now_b, &slots, &position, len, rotation);
-        for &idx in &run_b {
-            step_keepalive(
-                transport,
-                &mut slots,
-                &mut wheel,
-                idx,
-                Side::B,
-                tick,
-                &mut session_steps,
-                &mut carry_b,
-                &mut touched,
-            );
-        }
-
-        // Phase 6 — close finished and failed epochs in rotation order,
-        // mirroring the dense loop's close emission order.
-        touched.sort_unstable_by_key(|&idx| (position[idx] + len - rotation) % len);
-        touched.dedup();
-        let mut any_closed = false;
-        for &i in &touched {
-            let closing = {
-                let Some(live) = slots.get(i).and_then(|s| s.live.as_ref()) else {
-                    continue;
-                };
-                live.result.is_some() || (live.initiator.done() && live.responder.done())
-            };
-            if !closing {
-                continue;
-            }
-            let (epoch, outcome, initiator, responder) = {
-                let slot = &mut slots[i];
-                let Some(mut live) = slot.live.take() else {
-                    continue;
-                };
-                for wake in [&mut live.wake_a, &mut live.wake_b] {
-                    if let Some(id) = wake.timer.take() {
-                        wheel.cancel(id);
-                    }
-                }
-                if let Some(id) = live.deadline.take() {
-                    wheel.cancel(id);
-                }
-                routes.remove(&(live.protocol, live.id));
-                closed_keys.insert((live.protocol, live.id));
-                let r = live.initiator.retransmits() + live.responder.retransmits();
-                retransmits += u64::from(r);
-                let result = match live.result.take() {
-                    Some(res) => res,
-                    None => Ok((tick - live.started_at + 1) as u32),
-                };
-                let outcome = EpochOutcome {
-                    result,
-                    retransmits: r,
-                    missed_deadline: false,
-                };
-                (live.epoch, outcome, live.initiator, live.responder)
-            };
-            match &outcome.result {
-                Ok(t) => {
-                    epochs_completed += 1;
-                    registry.observe("keepalive.epoch_ticks", f64::from(*t));
-                }
-                Err(_) => epochs_failed += 1,
-            }
-            if tracer.is_enabled() {
-                tracer.instant(
-                    tick,
-                    "keepalive.close",
-                    vec![
-                        ("slot", Value::from(i as u64)),
-                        ("epoch", Value::from(u64::from(epoch))),
-                        ("ok", Value::from(outcome.succeeded())),
-                        ("missed", Value::from(false)),
-                        ("retransmits", Value::from(outcome.retransmits)),
-                    ],
-                );
-            }
-            let verdict = controller.on_close(i, epoch, tick, &outcome, initiator, responder);
-            apply_verdict(
-                &mut slots[i],
-                i,
-                verdict,
-                tick,
-                &mut wheel,
-                &mut evicted,
-                &mut dense_equiv_steps,
-                tracer,
-            );
-            any_closed = true;
-        }
-        touched.clear();
-        if any_closed {
-            reindex_live(&mut live_order, &slots, &mut position);
-        }
-    }
-
-    // Horizon cutoff: epochs still live close as missed so the
-    // controller always gets its endpoints back (e.g. to commit CRP
-    // checkouts). Rearm verdicts are moot — the run is over.
-    for (i, slot) in slots.iter_mut().enumerate() {
-        let Some(live) = slot.live.take() else {
-            continue;
-        };
-        let r = live.initiator.retransmits() + live.responder.retransmits();
-        retransmits += u64::from(r);
-        routes.remove(&(live.protocol, live.id));
-        closed_keys.insert((live.protocol, live.id));
-        epochs_missed += 1;
-        let outcome = EpochOutcome {
-            result: Err(ProtocolError::Timeout { retries: r }),
-            retransmits: r,
-            missed_deadline: true,
-        };
-        if tracer.is_enabled() {
-            tracer.instant(
-                tick,
-                "keepalive.close",
-                vec![
-                    ("slot", Value::from(i as u64)),
-                    ("epoch", Value::from(u64::from(live.epoch))),
-                    ("ok", Value::from(false)),
-                    ("missed", Value::from(true)),
-                    ("retransmits", Value::from(outcome.retransmits)),
-                ],
-            );
-        }
-        let verdict = controller.on_close(
-            i,
-            live.epoch,
-            tick,
-            &outcome,
-            live.initiator,
-            live.responder,
-        );
-        if matches!(verdict, SlotVerdict::Evict) {
-            slot.departed_at = Some(tick);
-            evicted += 1;
-        }
-    }
-    // Residency accounting for every slot still resident at the end.
-    for slot in &slots {
-        if slot.departed_at.is_none() {
-            dense_equiv_steps += resident_dense_steps(slot, tick);
-        }
-    }
-
-    registry.counter("keepalive.epochs_fired", epochs_fired);
-    registry.counter("keepalive.epochs_completed", epochs_completed);
-    registry.counter("keepalive.epochs_failed", epochs_failed);
-    registry.counter("keepalive.epochs_missed", epochs_missed);
-    registry.counter("keepalive.left", left as u64);
-    registry.counter("keepalive.evicted", evicted as u64);
-    registry.counter("keepalive.retransmits", retransmits);
-    registry.counter("keepalive.late_frames", counters.late);
-    registry.counter("keepalive.unroutable_frames", counters.unroutable);
-    registry.counter("keepalive.undecodable_frames", counters.undecodable);
-    registry.counter("keepalive.session_steps", session_steps);
-    registry.counter("keepalive.dense_equiv_steps", dense_equiv_steps);
+    registry.counter("keepalive.epochs_fired", run.epochs_fired);
+    registry.counter("keepalive.epochs_completed", run.epochs_completed);
+    registry.counter("keepalive.epochs_failed", run.epochs_failed);
+    registry.counter("keepalive.epochs_missed", run.epochs_missed);
+    registry.counter("keepalive.left", run.left as u64);
+    registry.counter("keepalive.evicted", run.evicted as u64);
+    registry.counter("keepalive.retransmits", run.retransmits);
+    registry.counter("keepalive.late_frames", run.late_frames);
+    registry.counter("keepalive.unroutable_frames", run.unroutable_frames);
+    registry.counter("keepalive.undecodable_frames", run.undecodable_frames);
+    registry.counter("keepalive.session_steps", run.session_steps);
+    registry.counter("keepalive.dense_equiv_steps", run.resident_dense_steps);
 
     let report = PersistentReport {
-        slots: n,
-        joined,
-        left,
-        evicted,
-        ticks: tick,
-        epochs_fired,
-        epochs_completed,
-        epochs_failed,
-        epochs_missed,
-        retransmits,
-        late_frames: counters.late,
-        unroutable_frames: counters.unroutable,
-        undecodable_frames: counters.undecodable,
-        peak_live,
-        session_steps,
-        dense_equiv_steps,
+        slots: first_fire.len(),
+        joined: run.joined,
+        left: run.left,
+        evicted: run.evicted,
+        ticks: run.ticks,
+        epochs_fired: run.epochs_fired,
+        epochs_completed: run.epochs_completed,
+        epochs_failed: run.epochs_failed,
+        epochs_missed: run.epochs_missed,
+        retransmits: run.retransmits,
+        late_frames: run.late_frames,
+        unroutable_frames: run.unroutable_frames,
+        undecodable_frames: run.undecodable_frames,
+        peak_live: run.peak_live,
+        session_steps: run.session_steps,
+        dense_equiv_steps: run.resident_dense_steps,
     };
     if tracer.is_enabled() {
         tracer.instant(
-            tick,
+            report.ticks,
             "keepalive.result",
             vec![
                 ("slots", Value::from(report.slots)),
@@ -929,67 +234,4 @@ pub fn run_persistent_gateway<T: Transport, K: KeepAlive>(
         );
     }
     report
-}
-
-/// Applies a controller verdict to a slot whose epoch just closed.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "verdict application touches scheduler, accounting, and trace state"
-)]
-fn apply_verdict<I, R>(
-    slot: &mut KeepSlot<I, R>,
-    idx: usize,
-    verdict: SlotVerdict,
-    tick: u64,
-    wheel: &mut TimerWheel,
-    evicted: &mut usize,
-    dense_equiv_steps: &mut u64,
-    tracer: &mut Tracer,
-) {
-    match verdict {
-        SlotVerdict::Rearm { at } => {
-            slot.fire = Some(wheel.schedule_at(at, keep_token(idx, KIND_FIRE)));
-        }
-        SlotVerdict::Evict => {
-            slot.departed_at = Some(tick);
-            *evicted += 1;
-            *dense_equiv_steps += resident_dense_steps(slot, tick);
-            if tracer.is_enabled() {
-                tracer.instant(
-                    tick,
-                    "keepalive.evict",
-                    vec![("slot", Value::from(idx as u64))],
-                );
-            }
-        }
-    }
-}
-
-/// Steps the dense no-timer counterfactual would have spent keeping
-/// this slot resident: two polls (one per side) on every tick from the
-/// slot's join to `end`, inclusive.
-fn resident_dense_steps<I, R>(slot: &KeepSlot<I, R>, end: u64) -> u64 {
-    match slot.joined_at {
-        Some(j) => 2 * (end.saturating_sub(j) + 1),
-        None => 0,
-    }
-}
-
-/// Rebuilds the live-order vector and position index after closes
-/// removed slots from the live set.
-fn reindex_live<I, R>(
-    live_order: &mut Vec<usize>,
-    slots: &[KeepSlot<I, R>],
-    position: &mut [usize],
-) {
-    live_order.retain(|&idx| {
-        let keep = slots.get(idx).is_some_and(|s| s.live.is_some());
-        if !keep {
-            position[idx] = usize::MAX;
-        }
-        keep
-    });
-    for (pos, &idx) in live_order.iter().enumerate() {
-        position[idx] = pos;
-    }
 }

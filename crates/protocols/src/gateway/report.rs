@@ -172,7 +172,7 @@ pub(super) fn percentile(sorted: &[u64], pct: u64) -> u64 {
     sorted[rank as usize]
 }
 
-/// Per-class accumulator the dense driver fills while finalizing.
+/// Per-class accumulator the batch driver fills while finalizing.
 #[derive(Default)]
 pub(super) struct ClassAcc {
     pub(super) submitted: usize,

@@ -319,59 +319,41 @@ fn epoch_budget_expiry_closes_epochs_as_missed() {
     assert!(ctl.records.iter().flatten().all(|&(ok, _, _)| !ok));
 }
 
-/// The round-equivalence kernel at gateway level: one zero-jitter
-/// persistent epoch over a lossy link produces the byte-identical
-/// wire transcript and per-device outcomes of a [`run_gateway`]
-/// round with the same sessions and channel seed.
+/// A horizon that cuts off a live epoch whose controller then evicts
+/// the slot ends the residency through the same close path as any other
+/// eviction: the slot's resident ticks count toward the dense
+/// counterfactual and a `keepalive.evict` instant is traced.
 #[test]
-fn single_persistent_epoch_matches_run_gateway_byte_for_byte() {
-    let loss = FaultRates::loss(0.1);
-    let ep = endpoints(3, 0x24);
-    let mut ctl = AuthFleet::new(ep.auth, 1000, 1, 3);
-    let mut persistent_link = FaultyChannel::new(loss, 0x5EED_0001);
+fn horizon_cutoff_eviction_is_accounted_like_any_eviction() {
+    let ep = endpoints(2, 0x25);
+    // One failure evicts, and a handshake needs two ticks: the horizon
+    // at tick 1 cuts both first epochs off as missed.
+    let mut ctl = AuthFleet::new(ep.auth, 100, 4, 1);
+    let mut channel = Channel::new();
+    let mut tracer = Tracer::new();
     let report = run_persistent_gateway(
-        &mut persistent_link,
-        &[0, 0, 0],
+        &mut channel,
+        &[0, 0],
         &mut ctl,
         PersistentConfig {
-            horizon: 500,
+            horizon: 1,
             epoch_budget: 0,
             ..PersistentConfig::default()
         },
-        &mut Tracer::disabled(),
+        &mut tracer,
         &Registry::new(),
     );
-    assert_eq!(report.epochs_fired, 3);
-
-    let mut ep = endpoints(3, 0x24);
-    let cfg = SessionConfig::default();
-    let mut sessions: Vec<SessionPair<'_>> = Vec::new();
-    for (i, (device, verifier)) in ep.auth.iter_mut().enumerate() {
-        let sid = i as u64 + 1;
-        sessions.push(SessionPair::new(
-            ProtocolId::MutualAuth,
-            sid,
-            Box::new(WireVerifier::new(&mut *verifier, sid, cfg)),
-            Box::new(WireDevice::new(&mut *device, cfg)),
-        ));
-    }
-    let mut round_link = FaultyChannel::new(loss, 0x5EED_0001);
-    let round = run_gateway(
-        &mut round_link,
-        sessions,
-        GatewayConfig::default(),
-        &mut Tracer::disabled(),
-        &Registry::new(),
-    );
-    assert_eq!(persistent_link.transcript(), round_link.transcript());
-    for (i, out) in round.outcomes.iter().enumerate() {
-        let (ok, ticks, retransmits) = ctl.records[i][0];
-        assert_eq!(ok, out.result.is_ok(), "slot {i}");
-        if let Ok(t) = out.result {
-            assert_eq!(ticks, t, "slot {i}");
-        }
-        assert_eq!(retransmits, out.retransmits, "slot {i}");
-    }
+    assert_eq!(report.epochs_missed, 2, "{report:?}");
+    assert_eq!(report.evicted, 2, "{report:?}");
+    // Both slots were resident for tick 1 alone: two polls each.
+    assert_eq!(report.dense_equiv_steps, 4, "{report:?}");
+    let evicts = tracer
+        .to_jsonl()
+        .lines()
+        .filter(|line| line.contains("\"keepalive.evict\""))
+        .count();
+    assert_eq!(evicts, 2);
+    assert!(ctl.endpoints.iter().all(Option::is_some));
 }
 
 /// Batched secure-NN sessions multiplexed by the gateway against
@@ -642,4 +624,39 @@ fn tick_budget_reports_unfinished_sessions() {
         report.completed + report.failed + report.unfinished,
         report.sessions
     );
+}
+
+/// A zero tick budget admits nothing: every session is unfinished,
+/// except a duplicate key, which fails at submission as always.
+#[test]
+fn zero_tick_budget_still_fails_duplicate_keys() {
+    let mut ep = endpoints(2, 0x56);
+    let cfg = SessionConfig::default();
+    let mut sessions = Vec::new();
+    for (device, verifier) in &mut ep.auth {
+        sessions.push(SessionPair::new(
+            ProtocolId::MutualAuth,
+            9, // same key on purpose
+            Box::new(WireVerifier::new(verifier, 9, cfg)),
+            Box::new(WireDevice::new(device, cfg)),
+        ));
+    }
+    let report = run_gateway(
+        &mut Channel::new(),
+        sessions,
+        GatewayConfig {
+            max_ticks: 0,
+            ..GatewayConfig::default()
+        },
+        &mut Tracer::disabled(),
+        &Registry::new(),
+    );
+    assert_eq!(report.ticks, 0);
+    assert_eq!(report.unfinished, 1, "{report:?}");
+    assert_eq!(report.failed, 1, "{report:?}");
+    assert!(matches!(
+        report.outcomes[1].result,
+        Err(ProtocolError::OutOfOrder(_))
+    ));
+    assert!(report.outcomes.iter().all(|o| o.admitted_at.is_none()));
 }

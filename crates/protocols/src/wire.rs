@@ -727,6 +727,28 @@ pub trait Session {
     }
 }
 
+impl<S: Session + ?Sized> Session for Box<S> {
+    fn step(&mut self, incoming: Option<&[u8]>) -> Result<SessionAction, ProtocolError> {
+        (**self).step(incoming)
+    }
+
+    fn done(&self) -> bool {
+        (**self).done()
+    }
+
+    fn retransmits(&self) -> u32 {
+        (**self).retransmits()
+    }
+
+    fn next_wake(&self) -> NextWake {
+        (**self).next_wake()
+    }
+
+    fn skip_silence(&mut self, ticks: u32) {
+        (**self).skip_silence(ticks);
+    }
+}
+
 /// Stop-and-wait ARQ bookkeeping shared by every wire session.
 #[derive(Debug)]
 pub(crate) struct Arq {

@@ -6,9 +6,8 @@
 //!   JSONL, same outcomes — so the policy seam cannot drift from the
 //!   pre-refactor backlog behavior the golden transcripts pin.
 //! * A class-aware policy degenerates to FIFO when it has nothing to
-//!   discriminate: single-class [`DeficitWeightedRoundRobin`] and
-//!   all-equal-deadline [`SlaDeadline`] runs are byte-identical to the
-//!   FIFO run.
+//!   discriminate: a single-class [`DeficitWeightedRoundRobin`] run is
+//!   byte-identical to the FIFO run.
 //! * FIFO's head-of-line blocking is pinned as *behavior*, not an
 //!   accident: under a tick budget shorter than the backlog's drain, a
 //!   trailing class is never admitted and its backlog wait is censored
@@ -17,7 +16,7 @@
 use neuropuls_photonic::process::DieId;
 use neuropuls_protocols::gateway::{
     run_gateway, AdmissionPolicy, ClassId, DeficitWeightedRoundRobin, Fifo, GatewayConfig,
-    SessionPair, SlaDeadline,
+    SessionPair,
 };
 use neuropuls_protocols::mutual_auth::{Device, Verifier, WireDevice, WireVerifier};
 use neuropuls_protocols::transport::{FaultRates, FaultyChannel};
@@ -119,23 +118,6 @@ fn single_class_dwrr_is_byte_identical_to_fifo() {
     );
     assert_eq!(fifo_jsonl, dwrr_jsonl, "tracer event log diverged");
     assert_eq!(fifo_outcomes, dwrr_outcomes);
-}
-
-#[test]
-fn equal_deadline_sla_is_byte_identical_to_fifo() {
-    // Identical sessions declare identical admission deadlines, so
-    // earliest-deadline-first degenerates to its submission-order tie
-    // break — FIFO.
-    let (fifo_jsonl, fifo_outcomes) = traced_run(contended(), None);
-    let (sla_jsonl, sla_outcomes) = traced_run(
-        GatewayConfig {
-            policy: Box::new(SlaDeadline::new()),
-            ..contended()
-        },
-        None,
-    );
-    assert_eq!(fifo_jsonl, sla_jsonl, "tracer event log diverged");
-    assert_eq!(fifo_outcomes, sla_outcomes);
 }
 
 /// Head-of-line blocking, pinned: a trailing minority class behind a

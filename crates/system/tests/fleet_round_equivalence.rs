@@ -7,10 +7,11 @@
 //! The reference sweep reimplements `run_fleet`'s control-link recipe
 //! verbatim (die ids, memory pattern, provision seeds, session-id
 //! schedule, link-seed derivation, inter-round drain) on top of the
-//! plain [`run_gateway`] driver, so the two drivers share *no*
-//! scheduling code: the dense round loop and the timer-wheel keep-alive
-//! loop arrive at the same frames, the same retransmit spend, and the
-//! same per-epoch verdicts independently.
+//! plain [`run_gateway`] driver, one fresh run per round. Both drivers
+//! share the gateway's tick loop, so the oracle pins what differs: one
+//! resident run with timer fires, re-arms, idle fast-forwards and
+//! rotation restarts must arrive at the same frames, the same
+//! retransmit spend, and the same per-epoch verdicts as separate runs.
 
 use neuropuls_photonic::process::DieId;
 use neuropuls_protocols::gateway::{run_gateway, GatewayConfig, SessionPair};
