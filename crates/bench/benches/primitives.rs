@@ -4,7 +4,10 @@ use neuropuls_crypto::chacha20::ChaCha20;
 use neuropuls_crypto::hmac::HmacSha256;
 use neuropuls_crypto::sha256::Sha256;
 use neuropuls_crypto::x25519;
-use neuropuls_photonic::process::DieId;
+use neuropuls_photonic::laser::Laser;
+use neuropuls_photonic::modulator::MachZehnderModulator;
+use neuropuls_photonic::process::{DieId, DieSampler, ProcessVariation};
+use neuropuls_photonic::{Environment, MeshSpec, ScramblerMesh};
 use neuropuls_puf::bits::Challenge;
 use neuropuls_puf::photonic::PhotonicPuf;
 use neuropuls_puf::traits::Puf;
@@ -47,6 +50,16 @@ fn bench_puf(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(1);
     let challenge = Challenge::random(64, &mut rng);
 
+    group.bench_function("photonic_fabricate", |b| {
+        let mut die = 0u64;
+        b.iter(|| {
+            die += 1;
+            PhotonicPuf::reference(DieId(die), 1)
+        })
+    });
+    // Response bits per evaluation: `throughput_elements / mean_ns` in
+    // the report is simulated response bits per host-nanosecond.
+    group.throughput(Throughput::Elements(puf.response_bits() as u64));
     group.bench_function("photonic_eval_noisy", |b| {
         b.iter(|| puf.respond(std::hint::black_box(&challenge)).unwrap())
     });
@@ -56,15 +69,22 @@ fn bench_puf(c: &mut Criterion) {
                 .unwrap()
         })
     });
-    group.bench_function("photonic_fabricate", |b| {
-        let mut die = 0u64;
-        b.iter(|| {
-            die += 1;
-            PhotonicPuf::reference(DieId(die), 1)
-        })
-    });
     group.finish();
 }
 
-criterion_group!(benches, bench_crypto, bench_puf);
+/// One reference-mesh propagation of a modulated 64-bit challenge plus
+/// its 32-sample flush, as inside every PUF evaluation.
+fn bench_mesh(c: &mut Criterion) {
+    let env = Environment::nominal();
+    let mut die = DieSampler::new(DieId(1), ProcessVariation::typical_soi());
+    let modulator = MachZehnderModulator::sampled(&mut die);
+    let mesh = ScramblerMesh::build(MeshSpec::reference(), &mut die);
+    let challenge = Challenge::random(64, &mut StdRng::seed_from_u64(2));
+    let waveform = modulator.modulate(Laser::new().carrier(&env), challenge.bits(), &env);
+    c.bench_function("photonic_mesh_propagate", |b| {
+        b.iter(|| mesh.propagate(std::hint::black_box(&waveform), 32, &env))
+    });
+}
+
+criterion_group!(benches, bench_crypto, bench_puf, bench_mesh);
 criterion_main!(benches);

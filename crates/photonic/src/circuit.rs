@@ -10,8 +10,13 @@
 //! from the die's process variation, so the mesh *is* the physical
 //! secret.
 //!
-//! The simulation is sample-synchronous: each call to [`ScramblerMesh::step`]
-//! advances the whole mesh by one bit period.
+//! The simulation is sample-synchronous: each sample advances the whole
+//! mesh by one bit period. Every element factor that depends only on the
+//! die and the environment (coupler `cos θ`/`sin θ`, phase-shifter and
+//! segment phasors, ring feedback `a·e^{iφ}`) is evaluated once at the
+//! start of [`ScramblerMesh::propagate`], so the per-sample loop does no
+//! trig and no allocation. The elements stay the only source of truth:
+//! aging and detuning edit them, and the next propagation recompiles.
 
 use crate::complex::Complex64;
 use crate::components::{Coupler, PhaseShifter, Waveguide};
@@ -41,8 +46,9 @@ pub struct MeshSpec {
 }
 
 impl MeshSpec {
-    /// The reference NEUROPULS-like mesh: 8 ports, 6 layers, rings on
-    /// half the sites — a microring-array PUF in the spirit of \[12\].
+    /// The reference NEUROPULS-like mesh: 8 ports, 8 layers, rings on
+    /// three quarters of the sites — a microring-array PUF in the spirit
+    /// of \[12\].
     pub fn reference() -> Self {
         MeshSpec {
             channels: 8,
@@ -110,7 +116,105 @@ struct Layer {
 pub struct ScramblerMesh {
     spec: MeshSpec,
     layers: Vec<Layer>,
-    scratch: Vec<Complex64>,
+}
+
+/// One channel site of a layer with its environment-dependent factors
+/// evaluated: phase-shifter phasor, segment amplitude and phasor, and the
+/// ring's couplings and round-trip feedback.
+#[derive(Debug, Clone, Copy)]
+struct CompiledSite {
+    phase: Complex64,
+    amplitude: f64,
+    segment: Complex64,
+    ring: Option<CompiledRing>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct CompiledRing {
+    r: f64,
+    k: f64,
+    feedback: Complex64,
+}
+
+/// The mesh's coefficient table at one environment plus the stepping
+/// state of one propagation. Each sample applies exactly the arithmetic
+/// of the per-element `transfer`/`step` calls, in the same order, so the
+/// output is bit-identical to stepping the elements directly.
+struct CompiledMesh {
+    /// `(cos θ, sin θ)` per coupler, layer by layer.
+    couplers: Vec<(f64, f64)>,
+    /// Coupler pairing offset per layer.
+    offsets: Vec<usize>,
+    /// `depth × channels` sites, layer-major.
+    sites: Vec<CompiledSite>,
+    /// Circulating field of each site's ring (unused where there is none).
+    circulating: Vec<Complex64>,
+    /// Field on every channel, updated in place layer by layer.
+    fields: Vec<Complex64>,
+}
+
+impl CompiledMesh {
+    /// Evaluates every element factor of `layers` at `env`, with the ring
+    /// memory cleared (start of an interrogation).
+    fn compile(layers: &[Layer], channels: usize, env: &Environment) -> Self {
+        let mut couplers = Vec::with_capacity(layers.iter().map(|l| l.couplers.len()).sum());
+        let mut sites = Vec::with_capacity(layers.len() * channels);
+        for layer in layers {
+            couplers.extend(layer.couplers.iter().map(Coupler::cos_sin));
+            let channel_sites = layer.phases.iter().zip(&layer.segments).zip(&layer.rings);
+            sites.extend(
+                channel_sites.map(|((shifter, segment), ring)| CompiledSite {
+                    phase: shifter.phasor(env),
+                    amplitude: segment.amplitude,
+                    segment: segment.phasor(env),
+                    ring: ring.as_ref().map(|ring| CompiledRing {
+                        r: ring.r,
+                        k: ring.k,
+                        feedback: ring.feedback(env),
+                    }),
+                }),
+            );
+        }
+        CompiledMesh {
+            couplers,
+            offsets: layers.iter().map(|layer| layer.offset).collect(),
+            circulating: vec![Complex64::ZERO; sites.len()],
+            sites,
+            fields: vec![Complex64::ZERO; channels],
+        }
+    }
+
+    /// Advances the mesh one sample with `input` on channel 0 and every
+    /// other input port dark; returns the field at every output port.
+    fn step(&mut self, input: Complex64) -> &[Complex64] {
+        let n = self.fields.len();
+        self.fields.fill(Complex64::ZERO);
+        self.fields[0] = input;
+        let mut couplers = self.couplers.iter();
+        let layers = self
+            .offsets
+            .iter()
+            .zip(self.sites.chunks_exact(n))
+            .zip(self.circulating.chunks_exact_mut(n));
+        for ((&offset, sites), circulating) in layers {
+            for (pair, &(c, s)) in couplers.by_ref().take((n - offset) / 2).enumerate() {
+                let a = offset + 2 * pair;
+                let (oa, ob) = Coupler::apply(c, s, self.fields[a], self.fields[a + 1]);
+                self.fields[a] = oa;
+                self.fields[a + 1] = ob;
+            }
+            let channels = self.fields.iter_mut().zip(sites).zip(circulating);
+            for ((field, site), circ) in channels {
+                let mut f = *field * site.phase;
+                f = f.scale(site.amplitude) * site.segment;
+                if let Some(ring) = site.ring {
+                    f = Microring::recur(ring.r, ring.k, ring.feedback, circ, f);
+                }
+                *field = f;
+            }
+        }
+        &self.fields
+    }
 }
 
 impl ScramblerMesh {
@@ -175,11 +279,7 @@ impl ScramblerMesh {
                 rings,
             });
         }
-        ScramblerMesh {
-            spec,
-            layers,
-            scratch: vec![Complex64::ZERO; n],
-        }
+        ScramblerMesh { spec, layers }
     }
 
     /// The construction spec.
@@ -200,64 +300,28 @@ impl ScramblerMesh {
             .sum()
     }
 
-    /// Clears all resonator memory (start of an interrogation).
-    pub fn reset(&mut self) {
-        for layer in &mut self.layers {
-            for ring in layer.rings.iter_mut().flatten() {
-                ring.reset();
-            }
-        }
-    }
-
-    /// Advances the mesh one sample: the input field enters channel 0,
-    /// every other input port is dark. Returns the field at every output
-    /// port.
-    pub fn step(&mut self, input: Complex64, env: &Environment) -> Vec<Complex64> {
-        let n = self.spec.channels;
-        let mut fields = vec![Complex64::ZERO; n];
-        fields[0] = input;
-
-        for layer in &mut self.layers {
-            // Coupler sub-layer.
-            for (pair_idx, coupler) in layer.couplers.iter().enumerate() {
-                let a = layer.offset + 2 * pair_idx;
-                let b = a + 1;
-                let (oa, ob) = coupler.transfer(fields[a], fields[b]);
-                fields[a] = oa;
-                fields[b] = ob;
-            }
-            // Phase + segment + optional ring per channel.
-            for ch in 0..n {
-                let mut f = layer.phases[ch].transfer(fields[ch], env);
-                f = layer.segments[ch].transfer(f, env);
-                if let Some(ring) = layer.rings[ch].as_mut() {
-                    f = ring.step(f, env);
-                }
-                self.scratch[ch] = f;
-            }
-            fields.copy_from_slice(&self.scratch);
-        }
-        fields
-    }
-
-    /// Propagates a full modulated waveform, returning per-port output
-    /// waveforms (`ports × samples`). The mesh is reset first, and
-    /// `flush` extra dark samples are appended so resonator tails are
-    /// captured.
+    /// Propagates a full modulated waveform entering channel 0 (every
+    /// other input port dark), returning per-port output waveforms
+    /// (`ports × samples`). Resonator memory starts cleared, and `flush`
+    /// extra dark samples are appended so resonator tails are captured.
+    ///
+    /// The mesh is compiled for `env` once per call (module docs), so the
+    /// number of allocations does not grow with the waveform length.
     pub fn propagate(
-        &mut self,
+        &self,
         waveform: &[Complex64],
         flush: usize,
         env: &Environment,
     ) -> Vec<Vec<Complex64>> {
-        self.reset();
         let total = waveform.len() + flush;
-        let mut outputs = vec![Vec::with_capacity(total); self.spec.channels];
-        for idx in 0..total {
-            let sample = waveform.get(idx).copied().unwrap_or(Complex64::ZERO);
-            let fields = self.step(sample, env);
-            for (port, field) in fields.into_iter().enumerate() {
-                outputs[port].push(field);
+        let mut outputs: Vec<Vec<Complex64>> = (0..self.spec.channels)
+            .map(|_| Vec::with_capacity(total))
+            .collect();
+        let mut compiled = CompiledMesh::compile(&self.layers, self.spec.channels, env);
+        let dark = std::iter::repeat_n(Complex64::ZERO, flush);
+        for sample in waveform.iter().copied().chain(dark) {
+            for (port, &field) in outputs.iter_mut().zip(compiled.step(sample)) {
+                port.push(field);
             }
         }
         outputs
@@ -305,7 +369,7 @@ impl ScramblerMesh {
     /// Per-port total output energy for a waveform (convenience for
     /// tests and enrollment).
     pub fn port_energies(
-        &mut self,
+        &self,
         waveform: &[Complex64],
         flush: usize,
         env: &Environment,
@@ -321,6 +385,91 @@ impl ScramblerMesh {
 mod tests {
     use super::*;
     use crate::process::{DieId, ProcessVariation};
+    use neuropuls_rt::rngs::StdRng;
+    use neuropuls_rt::{Rng, SeedableRng};
+
+    /// The per-element stepper the compiled path replaced, kept as its
+    /// oracle: every sample re-evaluates each element's trig through
+    /// `transfer`/`step` and allocates a fresh field vector.
+    fn reference_step(
+        mesh: &mut ScramblerMesh,
+        input: Complex64,
+        env: &Environment,
+    ) -> Vec<Complex64> {
+        let n = mesh.spec.channels;
+        let mut fields = vec![Complex64::ZERO; n];
+        let mut scratch = vec![Complex64::ZERO; n];
+        fields[0] = input;
+        for layer in &mut mesh.layers {
+            for (pair_idx, coupler) in layer.couplers.iter().enumerate() {
+                let a = layer.offset + 2 * pair_idx;
+                let b = a + 1;
+                let (oa, ob) = coupler.transfer(fields[a], fields[b]);
+                fields[a] = oa;
+                fields[b] = ob;
+            }
+            for ch in 0..n {
+                let mut f = layer.phases[ch].transfer(fields[ch], env);
+                f = layer.segments[ch].transfer(f, env);
+                if let Some(ring) = layer.rings[ch].as_mut() {
+                    f = ring.step(f, env);
+                }
+                scratch[ch] = f;
+            }
+            fields.copy_from_slice(&scratch);
+        }
+        fields
+    }
+
+    /// [`ScramblerMesh::propagate`] on the reference stepper.
+    fn reference_propagate(
+        mesh: &mut ScramblerMesh,
+        waveform: &[Complex64],
+        flush: usize,
+        env: &Environment,
+    ) -> Vec<Vec<Complex64>> {
+        for ring in mesh
+            .layers
+            .iter_mut()
+            .flat_map(|l| l.rings.iter_mut().flatten())
+        {
+            ring.reset();
+        }
+        let mut outputs = vec![Vec::new(); mesh.spec.channels];
+        for idx in 0..waveform.len() + flush {
+            let sample = waveform.get(idx).copied().unwrap_or(Complex64::ZERO);
+            for (port, field) in reference_step(mesh, sample, env).into_iter().enumerate() {
+                outputs[port].push(field);
+            }
+        }
+        outputs
+    }
+
+    /// Bitwise equality of two port × time field sets (distinguishes
+    /// `-0.0` from `0.0`, unlike `==`).
+    fn assert_bit_identical(compiled: &[Vec<Complex64>], reference: &[Vec<Complex64>], what: &str) {
+        assert_eq!(compiled.len(), reference.len(), "{what}: port count");
+        for (port, (c, r)) in compiled.iter().zip(reference).enumerate() {
+            assert_eq!(c.len(), r.len(), "{what}: port {port} length");
+            for (t, (x, y)) in c.iter().zip(r).enumerate() {
+                assert!(
+                    x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits(),
+                    "{what}: port {port} sample {t}: compiled {x} vs reference {y}"
+                );
+            }
+        }
+    }
+
+    /// A BPSK burst as the PUF's modulator emits it: `carrier·(±1)`.
+    fn bpsk_burst(bits: usize, rng: &mut StdRng) -> Vec<Complex64> {
+        let carrier = Complex64::from_polar(
+            rng.gen_range(0.5..1.5),
+            rng.gen_range(0.0..std::f64::consts::TAU),
+        );
+        (0..bits)
+            .map(|_| carrier.scale(if rng.gen::<bool>() { 1.0 } else { -1.0 }))
+            .collect()
+    }
 
     fn mesh(die_id: u64) -> ScramblerMesh {
         let mut die = DieSampler::new(DieId(die_id), ProcessVariation::typical_soi());
@@ -335,7 +484,7 @@ mod tests {
 
     #[test]
     fn mesh_is_passive() {
-        let mut m = mesh(1);
+        let m = mesh(1);
         let energies = m.port_energies(&impulse(), 64, &Environment::nominal());
         let total: f64 = energies.iter().sum();
         assert!(total <= 1.0 + 1e-9, "output energy {total} exceeds input");
@@ -344,7 +493,7 @@ mod tests {
 
     #[test]
     fn light_reaches_every_port() {
-        let mut m = mesh(2);
+        let m = mesh(2);
         let energies = m.port_energies(&impulse(), 64, &Environment::nominal());
         for (port, e) in energies.iter().enumerate() {
             assert!(*e > 1e-6, "port {port} is dark ({e})");
@@ -353,8 +502,8 @@ mod tests {
 
     #[test]
     fn same_die_is_reproducible() {
-        let mut a = mesh(3);
-        let mut b = mesh(3);
+        let a = mesh(3);
+        let b = mesh(3);
         let ea = a.port_energies(&impulse(), 32, &Environment::nominal());
         let eb = b.port_energies(&impulse(), 32, &Environment::nominal());
         assert_eq!(ea, eb);
@@ -362,8 +511,8 @@ mod tests {
 
     #[test]
     fn different_dies_scramble_differently() {
-        let mut a = mesh(4);
-        let mut b = mesh(5);
+        let a = mesh(4);
+        let b = mesh(5);
         let ea = a.port_energies(&impulse(), 32, &Environment::nominal());
         let eb = b.port_energies(&impulse(), 32, &Environment::nominal());
         let diff: f64 = ea.iter().zip(&eb).map(|(x, y)| (x - y).abs()).sum::<f64>();
@@ -375,7 +524,7 @@ mod tests {
         // Two waveforms that agree on the *last* bit but differ earlier
         // must give different output tails — past bits interact with
         // present ones (§II-A).
-        let mut m = mesh(6);
+        let m = mesh(6);
         let env = Environment::nominal();
         let w1: Vec<Complex64> = [1.0, 0.0, 1.0, 1.0]
             .iter()
@@ -399,7 +548,7 @@ mod tests {
     #[test]
     fn no_ring_mesh_has_no_memory_tail() {
         let mut die = DieSampler::new(DieId(7), ProcessVariation::typical_soi());
-        let mut m = ScramblerMesh::build(MeshSpec::shallow_no_rings(), &mut die);
+        let m = ScramblerMesh::build(MeshSpec::shallow_no_rings(), &mut die);
         assert_eq!(m.ring_count(), 0);
         let outputs = m.propagate(&impulse(), 8, &Environment::nominal());
         // After the impulse has passed, all ports must be dark.
@@ -415,11 +564,70 @@ mod tests {
 
     #[test]
     fn temperature_changes_the_output_pattern() {
-        let mut m = mesh(8);
+        let m = mesh(8);
         let cold = m.port_energies(&impulse(), 32, &Environment::at_temperature(25.0));
         let hot = m.port_energies(&impulse(), 32, &Environment::at_temperature(45.0));
         let diff: f64 = cold.iter().zip(&hot).map(|(x, y)| (x - y).abs()).sum();
         assert!(diff > 1e-6, "temperature had no effect");
+    }
+
+    #[test]
+    fn compiled_propagation_is_bit_identical_to_the_reference_stepper() {
+        // 10⁴ (die, challenge) pairs on the reference PUF mesh at the
+        // PUF's burst shape: 64 challenge bits plus a 32-sample flush.
+        let env = Environment::nominal();
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        for die in 0..100 {
+            let compiled = mesh(1000 + die);
+            let mut reference = compiled.clone();
+            for challenge in 0..100 {
+                let burst = bpsk_burst(64, &mut rng);
+                assert_bit_identical(
+                    &compiled.propagate(&burst, 32, &env),
+                    &reference_propagate(&mut reference, &burst, 32, &env),
+                    &format!("die {die} challenge {challenge}"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn compiled_propagation_tracks_environment_aging_and_detuning() {
+        // Ring-free, odd-width and all-ring meshes, fresh, aged and
+        // detuned, each at three temperatures.
+        let mut rng = StdRng::seed_from_u64(7);
+        let odd = MeshSpec {
+            channels: 5,
+            depth: 3,
+            ring_density: 1.0,
+            ..MeshSpec::reference()
+        };
+        let specs = [MeshSpec::reference(), MeshSpec::shallow_no_rings(), odd];
+        let envs = [
+            Environment::nominal(),
+            Environment::at_temperature(-20.0),
+            Environment::at_temperature(85.0),
+        ];
+        for (i, spec) in specs.into_iter().enumerate() {
+            let mut die = DieSampler::new(DieId(40 + i as u64), ProcessVariation::typical_soi());
+            let mut compiled = ScramblerMesh::build(spec, &mut die);
+            for step in 0..6 {
+                match step {
+                    2 => compiled.apply_aging(4.0, 0.05, &mut rng),
+                    4 => compiled = compiled.clone_detuned(0.3),
+                    _ => {}
+                }
+                let mut reference = compiled.clone();
+                for env in &envs {
+                    let burst = bpsk_burst(1 + step * 7, &mut rng);
+                    assert_bit_identical(
+                        &compiled.propagate(&burst, step, env),
+                        &reference_propagate(&mut reference, &burst, step, env),
+                        &format!("spec {i} step {step} at {} °C", env.temperature_c),
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -36,10 +36,15 @@ impl Waveguide {
         }
     }
 
+    /// The unit phasor `e^{iφ(T)}` the segment applies at `env` — the
+    /// only trig in [`Self::transfer`], constant for a fixed environment.
+    pub(crate) fn phasor(&self, env: &Environment) -> Complex64 {
+        Complex64::from_polar(1.0, self.phase + env.thermo_optic_phase(self.length_um))
+    }
+
     /// Propagates one field sample at the given environment.
     pub fn transfer(&self, input: Complex64, env: &Environment) -> Complex64 {
-        let phase = self.phase + env.thermo_optic_phase(self.length_um);
-        input.scale(self.amplitude).rotate(phase)
+        input.scale(self.amplitude) * self.phasor(env)
     }
 }
 
@@ -61,9 +66,15 @@ impl PhaseShifter {
         }
     }
 
+    /// The unit phasor `e^{iφ(T)}` the shifter applies at `env` — the
+    /// only trig in [`Self::transfer`], constant for a fixed environment.
+    pub(crate) fn phasor(&self, env: &Environment) -> Complex64 {
+        Complex64::from_polar(1.0, self.phase + env.thermo_optic_phase(self.length_um))
+    }
+
     /// Applies the phase shift.
     pub fn transfer(&self, input: Complex64, env: &Environment) -> Complex64 {
-        input.rotate(self.phase + env.thermo_optic_phase(self.length_um))
+        input * self.phasor(env)
     }
 }
 
@@ -112,10 +123,21 @@ impl Coupler {
         self.theta.sin().powi(2)
     }
 
+    /// The matrix entries `(cos θ, sin θ)` — the only trig in
+    /// [`Self::transfer`].
+    pub(crate) fn cos_sin(&self) -> (f64, f64) {
+        (self.theta.cos(), self.theta.sin())
+    }
+
     /// Applies the 2×2 unitary to a pair of field samples.
     pub fn transfer(&self, in0: Complex64, in1: Complex64) -> (Complex64, Complex64) {
-        let c = self.theta.cos();
-        let s = self.theta.sin();
+        let (c, s) = self.cos_sin();
+        Self::apply(c, s, in0, in1)
+    }
+
+    /// Applies the coupler matrix with entries `c = cos θ`, `s = sin θ`
+    /// already evaluated (see [`Self::cos_sin`]).
+    pub(crate) fn apply(c: f64, s: f64, in0: Complex64, in1: Complex64) -> (Complex64, Complex64) {
         let is = Complex64::new(0.0, s);
         (in0.scale(c) + in1 * is, in0 * is + in1.scale(c))
     }

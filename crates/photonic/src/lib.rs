@@ -26,7 +26,7 @@
 //! use neuropuls_photonic::process::{DieId, DieSampler, ProcessVariation};
 //!
 //! let mut die = DieSampler::new(DieId(1), ProcessVariation::typical_soi());
-//! let mut mesh = ScramblerMesh::build(MeshSpec::reference(), &mut die);
+//! let mesh = ScramblerMesh::build(MeshSpec::reference(), &mut die);
 //! let waveform = vec![Complex64::ONE; 8];
 //! let energies = mesh.port_energies(&waveform, 16, &Environment::nominal());
 //! assert_eq!(energies.len(), 8);

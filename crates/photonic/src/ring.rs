@@ -82,14 +82,33 @@ impl Microring {
         self.circulating = Complex64::ZERO;
     }
 
+    /// The round-trip feedback `a·e^{iφ(T)}` at `env` — the only trig in
+    /// [`Self::step`], constant for a fixed environment.
+    pub(crate) fn feedback(&self, env: &Environment) -> Complex64 {
+        let phi = self.phi + ATHERMAL_RESIDUAL * env.thermo_optic_phase(self.circumference_um);
+        Complex64::from_polar(self.a, phi)
+    }
+
     /// Advances the ring by one sample.
     pub fn step(&mut self, input: Complex64, env: &Environment) -> Complex64 {
-        let phi = self.phi + ATHERMAL_RESIDUAL * env.thermo_optic_phase(self.circumference_um);
-        let feedback = Complex64::from_polar(self.a, phi);
-        let delayed = self.circulating * feedback;
-        let ik = Complex64::new(0.0, self.k);
-        let output = input.scale(self.r) + delayed * ik;
-        self.circulating = input * ik + delayed.scale(self.r);
+        let feedback = self.feedback(env);
+        Self::recur(self.r, self.k, feedback, &mut self.circulating, input)
+    }
+
+    /// One sample of the all-pass recursion (module docs) for a ring with
+    /// through/cross coupling `r`/`k` and round-trip `feedback`
+    /// ([`Self::feedback`]), updating the stored `circulating` field.
+    pub(crate) fn recur(
+        r: f64,
+        k: f64,
+        feedback: Complex64,
+        circulating: &mut Complex64,
+        input: Complex64,
+    ) -> Complex64 {
+        let delayed = *circulating * feedback;
+        let ik = Complex64::new(0.0, k);
+        let output = input.scale(r) + delayed * ik;
+        *circulating = input * ik + delayed.scale(r);
         output
     }
 
@@ -97,8 +116,7 @@ impl Microring {
     /// environment — the analytic all-pass response used to cross-check
     /// the time-domain recursion.
     pub fn cw_response(&self, env: &Environment) -> Complex64 {
-        let phi = self.phi + ATHERMAL_RESIDUAL * env.thermo_optic_phase(self.circumference_um);
-        let ae = Complex64::from_polar(self.a, phi);
+        let ae = self.feedback(env);
         // H = (r - a·e^{iφ}) / (1 - r·a·e^{iφ}) for the all-pass ring with
         // the i·k coupling convention: derive from the recursion at z=1.
         let ik = Complex64::new(0.0, self.k);

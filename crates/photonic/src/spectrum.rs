@@ -73,19 +73,17 @@ pub fn mesh_spectra(
 ) -> Vec<Vec<SpectrumPoint>> {
     let ports = mesh.ports();
     let mut spectra = vec![Vec::with_capacity(steps); ports];
+    // Long enough for every ring to settle to steady state.
+    let cw = [Complex64::ONE; 256];
     for i in 0..steps {
         let delta = -span_nm / 2.0 + span_nm * i as f64 / (steps - 1).max(1) as f64;
-        let mut detuned = mesh.clone_detuned(delta);
-        // Drive to steady state and read instantaneous port powers.
-        detuned.reset();
-        let mut last = vec![Complex64::ZERO; ports];
-        for _ in 0..256 {
-            last = detuned.step(Complex64::ONE, env);
-        }
-        for (port, field) in last.iter().enumerate() {
-            spectra[port].push(SpectrumPoint {
+        let outputs = mesh.clone_detuned(delta).propagate(&cw, 0, env);
+        // Read the instantaneous port powers at the end of the burst.
+        for (spectrum, port) in spectra.iter_mut().zip(&outputs) {
+            let last = port.last().copied().unwrap_or(Complex64::ZERO);
+            spectrum.push(SpectrumPoint {
                 delta_lambda_nm: delta,
-                transmission: field.norm_sqr(),
+                transmission: last.norm_sqr(),
             });
         }
     }

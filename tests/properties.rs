@@ -125,7 +125,7 @@ proptest! {
             ..MeshSpec::reference()
         };
         let mut sampler = DieSampler::new(DieId(die), ProcessVariation::typical_soi());
-        let mut mesh = ScramblerMesh::build(spec, &mut sampler);
+        let mesh = ScramblerMesh::build(spec, &mut sampler);
         let mut waveform = vec![Complex64::ZERO; 8];
         waveform[0] = Complex64::ONE;
         let energies = mesh.port_energies(&waveform, 48, &Environment::nominal());
@@ -138,8 +138,8 @@ proptest! {
     fn mesh_reproducibility(die in any::<u64>()) {
         let mut s1 = DieSampler::new(DieId(die), ProcessVariation::typical_soi());
         let mut s2 = DieSampler::new(DieId(die), ProcessVariation::typical_soi());
-        let mut m1 = ScramblerMesh::build(MeshSpec::reference(), &mut s1);
-        let mut m2 = ScramblerMesh::build(MeshSpec::reference(), &mut s2);
+        let m1 = ScramblerMesh::build(MeshSpec::reference(), &mut s1);
+        let m2 = ScramblerMesh::build(MeshSpec::reference(), &mut s2);
         let waveform = vec![Complex64::ONE; 4];
         let e1 = m1.port_energies(&waveform, 16, &Environment::nominal());
         let e2 = m2.port_energies(&waveform, 16, &Environment::nominal());
