@@ -30,13 +30,13 @@ fn bench_mutual_auth(c: &mut Criterion) {
 
 fn bench_attestation(c: &mut Criterion) {
     c.bench_function("attestation_walk_16k", |b| {
-        let mut puf = PhotonicPuf::reference(DieId(2), 1);
+        let puf = PhotonicPuf::reference(DieId(2), 1);
         let memory = vec![0x5Au8; 16 * 1024];
         let request = AttestationRequest {
             timestamp_ns: 1,
             challenge: Challenge::from_u64(0xBEEF, 64),
         };
-        b.iter(|| compute_attestation(&mut puf, &memory, &request).unwrap())
+        b.iter(|| compute_attestation(&puf, &memory, &request).unwrap())
     });
 }
 

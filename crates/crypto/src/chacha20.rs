@@ -6,55 +6,28 @@
 //! the software layer.
 
 use crate::CryptoError;
+use neuropuls_rt::chacha;
 
 /// Key length in bytes.
 pub const KEY_LEN: usize = 32;
 /// Nonce length in bytes.
 pub const NONCE_LEN: usize = 12;
 
-const SIGMA: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
-
-#[inline]
-fn quarter_round(state: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
-    state[a] = state[a].wrapping_add(state[b]);
-    state[d] = (state[d] ^ state[a]).rotate_left(16);
-    state[c] = state[c].wrapping_add(state[d]);
-    state[b] = (state[b] ^ state[c]).rotate_left(12);
-    state[a] = state[a].wrapping_add(state[b]);
-    state[d] = (state[d] ^ state[a]).rotate_left(8);
-    state[c] = state[c].wrapping_add(state[d]);
-    state[b] = (state[b] ^ state[c]).rotate_left(7);
-}
-
+/// One keystream block: the block function shared with the workspace
+/// RNG ([`neuropuls_rt::chacha::block`]), with the RFC 8439 32-bit block
+/// counter and 96-bit nonce as the last four state words.
 fn block(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN]) -> [u8; 64] {
-    let mut state = [0u32; 16];
-    state[..4].copy_from_slice(&SIGMA);
-    for (i, chunk) in key.chunks_exact(4).enumerate() {
-        state[4 + i] = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-    }
-    state[12] = counter;
-    for (i, chunk) in nonce.chunks_exact(4).enumerate() {
-        state[13 + i] = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-    }
-
-    let mut working = state;
-    for _ in 0..10 {
-        // Column rounds.
-        quarter_round(&mut working, 0, 4, 8, 12);
-        quarter_round(&mut working, 1, 5, 9, 13);
-        quarter_round(&mut working, 2, 6, 10, 14);
-        quarter_round(&mut working, 3, 7, 11, 15);
-        // Diagonal rounds.
-        quarter_round(&mut working, 0, 5, 10, 15);
-        quarter_round(&mut working, 1, 6, 11, 12);
-        quarter_round(&mut working, 2, 7, 8, 13);
-        quarter_round(&mut working, 3, 4, 9, 14);
-    }
-
+    let word = |bytes: &[u8]| u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+    let key: [u32; 8] = core::array::from_fn(|i| word(&key[4 * i..]));
+    let tail = [
+        counter,
+        word(&nonce[..4]),
+        word(&nonce[4..8]),
+        word(&nonce[8..]),
+    ];
     let mut out = [0u8; 64];
-    for i in 0..16 {
-        let word = working[i].wrapping_add(state[i]);
-        out[4 * i..4 * i + 4].copy_from_slice(&word.to_le_bytes());
+    for (bytes, w) in out.chunks_exact_mut(4).zip(chacha::block(&key, tail)) {
+        bytes.copy_from_slice(&w.to_le_bytes());
     }
     out
 }

@@ -17,6 +17,21 @@
 //! start of [`ScramblerMesh::propagate`], so the per-sample loop does no
 //! trig and no allocation. The elements stay the only source of truth:
 //! aging and detuning edit them, and the next propagation recompiles.
+//!
+//! Between resets the mesh is linear and time-invariant: couplers,
+//! phase shifters and segments multiply by constants, and a ring
+//! (`Microring::recur`) is a linear recursion on its circulating field.
+//! A propagation is therefore the convolution of the input with each
+//! port's response to a unit impulse, `y_p[t] = Σ_k x[k]·h_p[t − k]`.
+//! `neuropuls_puf::photonic::DeterministicReader` uses that: it
+//! propagates one impulse per (die, environment) and answers noise-free
+//! PUF reads from `h_p`. Stepping and convolving add the same terms in a
+//! different order, so their outputs agree to floating-point rounding,
+//! not bit for bit. The table stays per call here, and the impulse
+//! response lives only as long as a reader, rather than being cached in
+//! the mesh: a resident table per die would grow every fleet's memory
+//! and would have to be invalidated on every aging step and
+//! environment change.
 
 use crate::complex::Complex64;
 use crate::components::{Coupler, PhaseShifter, Waveguide};

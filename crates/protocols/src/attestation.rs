@@ -129,18 +129,20 @@ fn response_to_challenge(r: &Response, width: usize) -> Challenge {
 /// Walks `memory` producing the hash chain. Shared verbatim by the
 /// Device (on its real memory) and the Verifier (on its golden copy with
 /// the pPUF model) — which is the point: any divergence in memory or PUF
-/// identity diverges the chain.
+/// identity diverges the chain. Every read of one walk goes through one
+/// [`PhotonicPuf::deterministic_reader`].
 ///
 /// # Errors
 ///
 /// Propagates PUF errors.
 pub fn compute_attestation(
-    puf: &mut PhotonicPuf,
+    puf: &PhotonicPuf,
     memory: &[u8],
     request: &AttestationRequest,
 ) -> Result<[u8; 32], ProtocolError> {
     let chunks = memory.len().div_ceil(CHUNK_BYTES).max(1);
-    let mut response = puf.respond_deterministic(&request.challenge)?;
+    let mut reader = puf.deterministic_reader();
+    let mut response = reader.respond(&request.challenge)?;
     let order = walk_order(&response, request.timestamp_ns, chunks);
 
     let mut hash = [0u8; 32];
@@ -151,7 +153,7 @@ pub fn compute_attestation(
         hash = Sha256::digest_parts(&[chunk, &response.to_packed(), &hash]);
         if step + 1 < order.len() {
             let next_challenge = response_to_challenge(&response, puf.config().challenge_bits);
-            response = puf.respond_deterministic(&next_challenge)?;
+            response = reader.respond(&next_challenge)?;
         }
     }
     Ok(hash)
@@ -200,7 +202,7 @@ impl AttestingDevice {
         &mut self,
         request: &AttestationRequest,
     ) -> Result<AttestationReport, ProtocolError> {
-        let final_hash = compute_attestation(&mut self.puf, &self.memory, request)?;
+        let final_hash = compute_attestation(&self.puf, &self.memory, request)?;
         let chunks = self.memory.len().div_ceil(CHUNK_BYTES).max(1) as f64;
         let elapsed_ns = chunks * (self.timing.chunk_ns() + self.adversary_overhead_ns);
         Ok(AttestationReport {
@@ -274,8 +276,7 @@ impl AttestationVerifier {
                 allowed_ns,
             });
         }
-        let golden_memory = self.golden_memory.clone();
-        let expected = compute_attestation(&mut self.puf_model, &golden_memory, request)?;
+        let expected = compute_attestation(&self.puf_model, &self.golden_memory, request)?;
         if !ct_eq(&expected, &report.final_hash) {
             return Err(ProtocolError::AttestationDigestMismatch);
         }

@@ -18,10 +18,42 @@
 //! The comparison margins are also exposed ([`PhotonicPuf::respond_with_margins`]):
 //! they are the "threshold dependent on the amplitude of the photocurrent
 //! read at the PD" that §II-B adapts the Vinagrero filtering method to.
+//!
+//! # Noise-free reads
+//!
+//! The §III-B attestation walk chains one noise-free read per memory
+//! chunk ([`PhotonicPuf::respond_deterministic`]). Such a read has a
+//! fixed carrier, and up to the photodiode everything is linear and
+//! time-invariant: the mesh (`neuropuls_photonic::circuit`) and the
+//! modulator, whose two output levels `x₀`/`x₁` (bit 0/1) are the carrier
+//! times a fixed symbol. So port `p` sees
+//!
+//! ```text
+//! y_p[t] = x₀·A_p[t] + (x₁ − x₀)·Σ_{k: b_k = 1} h_p[t − k]
+//! ```
+//!
+//! where `h_p` is the port's response to a unit impulse and `A_p[t]` the
+//! sum of `h_p` over the window of lags the challenge covers at `t`.
+//! [`DeterministicReader`] propagates the impulse once, keeps
+//! `x₀·A_p` and `(x₁ − x₀)·h_p`, and answers each read with plain adds
+//! over the set challenge bits; detection, AC coupling and the XOR fold
+//! are the ones a stepped read uses. The sums run in another order than
+//! stepping the mesh sample by sample, so photocurrents agree to
+//! rounding (≲1e-12 relative), not bit for bit. A response bit could
+//! only differ where a comparison margin is within that rounding of
+//! zero; the tests compare response bits against the stepped read on
+//! 10⁴ (die, challenge) pairs and find none.
+//!
+//! The reader borrows the PUF and lives for one walk. It is not cached
+//! inside the PUF: a resident table per die costs ~12 KiB × every PUF a
+//! fleet holds, and a cache would need invalidating on
+//! [`PhotonicPuf::age`] and every environment change. While a reader is
+//! alive the borrow forbids both, so it can never be stale.
 
 use crate::bits::{Challenge, Response};
 use crate::traits::{Puf, PufError, PufKind};
 use neuropuls_photonic::circuit::{MeshSpec, ScramblerMesh};
+use neuropuls_photonic::complex::Complex64;
 use neuropuls_photonic::detector::ReceiveChain;
 use neuropuls_photonic::laser::Laser;
 use neuropuls_photonic::modulator::MachZehnderModulator;
@@ -208,6 +240,45 @@ impl PhotonicPuf {
         pairs
     }
 
+    /// Rejects a challenge whose width is not the configured one.
+    fn check_width(&self, challenge: &Challenge) -> Result<(), PufError> {
+        if challenge.len() == self.config.challenge_bits {
+            Ok(())
+        } else {
+            Err(PufError::ChallengeLength {
+                expected: self.config.challenge_bits,
+                actual: challenge.len(),
+            })
+        }
+    }
+
+    /// One noisy interrogation: noisy carrier, modulator, mesh, then every
+    /// port's receive chain in port order. Returns the per-port, per-time
+    /// ADC codes and counts the evaluation.
+    fn noisy_codes(&mut self, challenge: &Challenge) -> Result<Vec<Vec<u32>>, PufError> {
+        self.check_width(challenge)?;
+        let carrier = self.laser.noisy_carrier(&self.env, &mut self.rng);
+        let waveform = self
+            .modulator
+            .modulate(carrier, challenge.bits(), &self.env);
+        let outputs = self
+            .mesh
+            .propagate(&waveform, self.config.flush_samples, &self.env);
+        let codes = outputs
+            .iter()
+            .zip(&mut self.chains)
+            .map(|(fields, chain)| {
+                chain.reset();
+                fields
+                    .iter()
+                    .map(|&f| chain.sample(f, &self.env, &mut self.rng))
+                    .collect()
+            })
+            .collect();
+        self.evaluations += 1;
+        Ok(codes)
+    }
+
     /// Full interrogation returning response bits *and* the analog
     /// comparison margins in ADC codes (positive = confident 1, negative
     /// = confident 0). The margins feed the photocurrent-threshold
@@ -220,31 +291,7 @@ impl PhotonicPuf {
         &mut self,
         challenge: &Challenge,
     ) -> Result<(Response, Vec<f64>), PufError> {
-        if challenge.len() != self.config.challenge_bits {
-            return Err(PufError::ChallengeLength {
-                expected: self.config.challenge_bits,
-                actual: challenge.len(),
-            });
-        }
-        let carrier = self.laser.noisy_carrier(&self.env, &mut self.rng);
-        let waveform = self
-            .modulator
-            .modulate(carrier, challenge.bits(), &self.env);
-        let outputs = self
-            .mesh
-            .propagate(&waveform, self.config.flush_samples, &self.env);
-
-        // Detect every port's time series.
-        let samples = self.config.challenge_bits + self.config.flush_samples;
-        let mut codes = vec![vec![0u32; samples]; outputs.len()];
-        for (port, fields) in outputs.iter().enumerate() {
-            let chain = &mut self.chains[port];
-            chain.reset();
-            for (t, &field) in fields.iter().enumerate() {
-                codes[port][t] = chain.sample(field, &self.env, &mut self.rng);
-            }
-        }
-
+        let codes = self.noisy_codes(challenge)?;
         // AC-couple each port (subtract its burst mean) before the
         // differential comparison. DC blocking is standard in high-speed
         // receivers, and it is security-critical here: without it the
@@ -257,15 +304,8 @@ impl PhotonicPuf {
             .collect();
         let mut bits = Vec::with_capacity(self.config.response_bits);
         let mut margins = Vec::with_capacity(self.config.response_bits);
-        for site in self.pairs.chunks_exact(2) {
-            let diff = |pair: &ComparePair| {
-                codes[pair.a.0][pair.a.1] as f64
-                    - means[pair.a.0]
-                    - (codes[pair.b.0][pair.b.1] as f64 - means[pair.b.0])
-            };
-            let d0 = diff(&site[0]);
-            let d1 = diff(&site[1]);
-            let bit = u8::from(d0 > 0.0) ^ u8::from(d1 > 0.0);
+        for (d0, d1) in site_diffs(&self.pairs, |(p, t)| codes[p][t] as f64 - means[p]) {
+            let bit = fold(d0, d1);
             bits.push(bit);
             // The folded bit flips when the *weaker* comparison flips:
             // report the min magnitude, signed by the bit value, so
@@ -274,7 +314,6 @@ impl PhotonicPuf {
             let magnitude = d0.abs().min(d1.abs());
             margins.push(if bit == 1 { magnitude } else { -magnitude });
         }
-        self.evaluations += 1;
         Ok((Response::from_bits(bits), margins))
     }
 
@@ -285,32 +324,7 @@ impl PhotonicPuf {
     ///
     /// Returns [`PufError::ChallengeLength`] on challenge width mismatch.
     pub fn adc_trace(&mut self, challenge: &Challenge) -> Result<Vec<Vec<u32>>, PufError> {
-        if challenge.len() != self.config.challenge_bits {
-            return Err(PufError::ChallengeLength {
-                expected: self.config.challenge_bits,
-                actual: challenge.len(),
-            });
-        }
-        let carrier = self.laser.noisy_carrier(&self.env, &mut self.rng);
-        let waveform = self
-            .modulator
-            .modulate(carrier, challenge.bits(), &self.env);
-        let outputs = self
-            .mesh
-            .propagate(&waveform, self.config.flush_samples, &self.env);
-        let mut codes = Vec::with_capacity(outputs.len());
-        for (port, fields) in outputs.iter().enumerate() {
-            let chain = &mut self.chains[port];
-            chain.reset();
-            codes.push(
-                fields
-                    .iter()
-                    .map(|&f| chain.sample(f, &self.env, &mut self.rng))
-                    .collect(),
-            );
-        }
-        self.evaluations += 1;
-        Ok(codes)
+        self.noisy_codes(challenge)
     }
 
     /// Noisy interrogations performed so far (successful
@@ -332,50 +346,57 @@ impl PhotonicPuf {
     /// strong PUF" abstraction the attestation protocol of §III-B
     /// assumes on both the Device and (as a model) the Verifier. Uses
     /// the ideal photodiode response and a fixed carrier, so the same
-    /// die always returns the identical response.
+    /// die always returns the identical response. A reader of one read
+    /// ([`Self::deterministic_reader`]); chained reads should share one
+    /// reader.
     ///
     /// # Errors
     ///
     /// Returns [`PufError::ChallengeLength`] on challenge width
     /// mismatch.
-    pub fn respond_deterministic(&mut self, challenge: &Challenge) -> Result<Response, PufError> {
-        if challenge.len() != self.config.challenge_bits {
-            return Err(PufError::ChallengeLength {
-                expected: self.config.challenge_bits,
-                actual: challenge.len(),
-            });
-        }
+    pub fn respond_deterministic(&self, challenge: &Challenge) -> Result<Response, PufError> {
+        self.deterministic_reader().respond(challenge)
+    }
+
+    /// A noise-free reader at the current environment and mesh state: one
+    /// impulse propagation up front, then each
+    /// [`DeterministicReader::respond`] is adds over the set challenge
+    /// bits (module docs, "Noise-free reads").
+    pub fn deterministic_reader(&self) -> DeterministicReader<'_> {
+        let challenge_bits = self.config.challenge_bits;
+        let samples = challenge_bits + self.config.flush_samples;
         let carrier = self.laser.carrier(&self.env);
-        let waveform = self
-            .modulator
-            .modulate(carrier, challenge.bits(), &self.env);
-        let outputs = self
+        let levels = self.modulator.modulate(carrier, &[0, 1], &self.env);
+        let (x0, dx) = (levels[0], levels[1] - levels[0]);
+        let mut lag = self
             .mesh
-            .propagate(&waveform, self.config.flush_samples, &self.env);
-        let samples = self.config.challenge_bits + self.config.flush_samples;
-        let mut currents = vec![vec![0.0f64; samples]; outputs.len()];
-        for (port, fields) in outputs.iter().enumerate() {
-            for (t, &field) in fields.iter().enumerate() {
-                currents[port][t] = self.chains[port].pd.detect_ideal(field);
+            .propagate(&[Complex64::ONE], samples - 1, &self.env);
+        let mut base = Vec::with_capacity(lag.len());
+        for h in &mut lag {
+            // A_p[t] = Σ h_p[j] over the lags t−k of challenge bits k:
+            // j ∈ (t − challenge_bits, t], kept as a running sum.
+            let mut window = Complex64::ZERO;
+            let mut port = Vec::with_capacity(samples);
+            for (t, &tap) in h.iter().enumerate() {
+                window += tap;
+                if t >= challenge_bits {
+                    window = window - h[t - challenge_bits];
+                }
+                port.push(x0 * window);
+            }
+            base.push(port);
+            for tap in h.iter_mut() {
+                *tap = dx * *tap;
             }
         }
-        let means: Vec<f64> = currents
-            .iter()
-            .map(|port| port.iter().sum::<f64>() / port.len() as f64)
-            .collect();
-        let bits: Vec<u8> = self
-            .pairs
-            .chunks_exact(2)
-            .map(|site| {
-                let diff = |pair: &ComparePair| {
-                    currents[pair.a.0][pair.a.1]
-                        - means[pair.a.0]
-                        - (currents[pair.b.0][pair.b.1] - means[pair.b.0])
-                };
-                u8::from(diff(&site[0]) > 0.0) ^ u8::from(diff(&site[1]) > 0.0)
-            })
-            .collect();
-        Ok(Response::from_bits(bits))
+        DeterministicReader {
+            puf: self,
+            currents: vec![0.0; base.len() * samples],
+            means: vec![0.0; base.len()],
+            base,
+            lag,
+            field: vec![Complex64::ZERO; samples],
+        }
     }
 
     /// Ages the device by `years` of field deployment: phase elements
@@ -441,6 +462,81 @@ impl Puf for PhotonicPuf {
 
     fn latency_ns(&self) -> f64 {
         self.response_window_ns() + self.config.electronics_latency_ns
+    }
+}
+
+/// Pairs of AC-coupled comparison differences, one pair per response
+/// bit: `value((port, t))` is the sample at `(port, t)` minus its port's
+/// burst mean, and each difference is `value(a) − value(b)`.
+fn site_diffs<'s>(
+    pairs: &'s [ComparePair],
+    value: impl Fn((usize, usize)) -> f64 + 's,
+) -> impl Iterator<Item = (f64, f64)> + 's {
+    pairs.chunks_exact(2).map(move |site| {
+        let diff = |pair: &ComparePair| value(pair.a) - value(pair.b);
+        (diff(&site[0]), diff(&site[1]))
+    })
+}
+
+/// The XOR fold of a bit's two comparisons.
+fn fold(d0: f64, d1: f64) -> u8 {
+    u8::from(d0 > 0.0) ^ u8::from(d1 > 0.0)
+}
+
+/// Noise-free reads of one [`PhotonicPuf`] from its impulse response
+/// (module docs, "Noise-free reads"). Built by
+/// [`PhotonicPuf::deterministic_reader`]; holds two per-port tables
+/// (~12 KiB each on the reference configuration) and scratch buffers,
+/// so [`Self::respond`] allocates only the returned response.
+#[derive(Debug)]
+pub struct DeterministicReader<'a> {
+    puf: &'a PhotonicPuf,
+    /// `x₀·A_p[t]` per port: the field of the all-zeros challenge.
+    base: Vec<Vec<Complex64>>,
+    /// `(x₁ − x₀)·h_p[t]` per port: what one set bit adds at lag `t`.
+    lag: Vec<Vec<Complex64>>,
+    /// Scratch: one port's field during a read.
+    field: Vec<Complex64>,
+    /// Scratch: the read's ideal photocurrents, port-major.
+    currents: Vec<f64>,
+    /// Scratch: each port's burst-mean photocurrent.
+    means: Vec<f64>,
+}
+
+impl DeterministicReader<'_> {
+    /// The PUF's noise-free response to `challenge`; the same bits as a
+    /// [`PhotonicPuf::respond_deterministic`] call.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PufError::ChallengeLength`] on challenge width
+    /// mismatch.
+    pub fn respond(&mut self, challenge: &Challenge) -> Result<Response, PufError> {
+        let puf = self.puf;
+        puf.check_width(challenge)?;
+        let n = self.field.len();
+        let set_bits = || {
+            let bits = challenge.bits().iter().enumerate();
+            bits.filter(|&(_, &b)| b & 1 == 1).map(|(k, _)| k)
+        };
+        for (p, chain) in puf.chains.iter().enumerate() {
+            self.field.copy_from_slice(&self.base[p]);
+            for k in set_bits() {
+                for (field, &tap) in self.field[k..].iter_mut().zip(&self.lag[p]) {
+                    *field += tap;
+                }
+            }
+            let currents = &mut self.currents[p * n..(p + 1) * n];
+            for (current, &field) in currents.iter_mut().zip(&self.field) {
+                *current = chain.pd.detect_ideal(field);
+            }
+            self.means[p] = currents.iter().sum::<f64>() / n as f64;
+        }
+        let (currents, means) = (&self.currents, &self.means);
+        let value = |(p, t): (usize, usize)| currents[p * n + t] - means[p];
+        Ok(Response::from_bits(
+            site_diffs(&puf.pairs, value).map(|(d0, d1)| fold(d0, d1)),
+        ))
     }
 }
 
@@ -681,6 +777,141 @@ mod tests {
             let c = Challenge::from_bits((0..64).map(|_| rng.gen::<u8>() & 1));
             let _ = p.respond(&c).unwrap();
         }
+    }
+}
+
+#[cfg(test)]
+mod reader_tests {
+    use super::*;
+    use neuropuls_photonic::modulator::ModulationFormat;
+    use neuropuls_photonic::process::DieSampler;
+
+    impl PhotonicPuf {
+        /// The stepped noise-free read the reader replaced, kept as its
+        /// oracle: the modulated burst stepped through the mesh, ideal
+        /// detection, AC coupling and the XOR fold. Also returns the
+        /// photocurrents, port-major.
+        fn respond_deterministic_stepped(&self, challenge: &Challenge) -> (Response, Vec<f64>) {
+            let carrier = self.laser.carrier(&self.env);
+            let waveform = self
+                .modulator
+                .modulate(carrier, challenge.bits(), &self.env);
+            let outputs = self
+                .mesh
+                .propagate(&waveform, self.config.flush_samples, &self.env);
+            let currents: Vec<Vec<f64>> = outputs
+                .iter()
+                .zip(&self.chains)
+                .map(|(fields, chain)| fields.iter().map(|&f| chain.pd.detect_ideal(f)).collect())
+                .collect();
+            let means: Vec<f64> = currents
+                .iter()
+                .map(|port| port.iter().sum::<f64>() / port.len() as f64)
+                .collect();
+            let value = |(p, t): (usize, usize)| currents[p][t] - means[p];
+            let bits = site_diffs(&self.pairs, value).map(|(d0, d1)| fold(d0, d1));
+            (Response::from_bits(bits), currents.concat())
+        }
+    }
+
+    /// Reads `challenges` random challenges through one reader and
+    /// through the stepped oracle: identical bits, photocurrents within
+    /// 1e-9 relative. Returns the number of reads compared.
+    fn assert_reader_matches_stepper(
+        puf: &PhotonicPuf,
+        challenges: usize,
+        rng: &mut StdRng,
+        what: &str,
+    ) -> usize {
+        let mut reader = puf.deterministic_reader();
+        for i in 0..challenges {
+            let c = Challenge::random(puf.config.challenge_bits, rng);
+            let fast = reader.respond(&c).unwrap();
+            let (stepped, currents) = puf.respond_deterministic_stepped(&c);
+            assert_eq!(fast, stepped, "{what}: challenge {i}: response bits");
+            for (j, (&a, &b)) in reader.currents.iter().zip(&currents).enumerate() {
+                assert!(
+                    (a - b).abs() <= 1e-9 * b.abs(),
+                    "{what}: challenge {i} sample {j}: reader {a} vs stepped {b}"
+                );
+            }
+        }
+        challenges
+    }
+
+    #[test]
+    fn reader_matches_the_stepped_read_on_ten_thousand_pairs() {
+        let mut rng = StdRng::seed_from_u64(0xEAD);
+        let mut pairs = 0;
+        for die in 0..100 {
+            let puf = PhotonicPuf::reference(DieId(3000 + die), die);
+            pairs += assert_reader_matches_stepper(&puf, 100, &mut rng, &format!("die {die}"));
+        }
+        assert_eq!(pairs, 10_000);
+    }
+
+    #[test]
+    fn reader_matches_the_stepped_read_off_nominal() {
+        let mut rng = StdRng::seed_from_u64(0xEAE);
+        let shallow = PhotonicPufConfig {
+            mesh: MeshSpec::shallow_no_rings(),
+            ..PhotonicPufConfig::reference()
+        };
+        // Short bursts: the running window drops taps from the first
+        // flush sample on.
+        let short = PhotonicPufConfig {
+            challenge_bits: 12,
+            response_bits: 16,
+            flush_samples: 40,
+            ..PhotonicPufConfig::reference()
+        };
+        for die in 0..8 {
+            let variation = ProcessVariation::typical_soi();
+            let mut puf = PhotonicPuf::reference(DieId(4000 + die), die);
+            assert_reader_matches_stepper(&puf, 20, &mut rng, "nominal");
+            puf.set_environment(Environment::at_temperature(61.5).with_laser_scale(0.35));
+            assert_reader_matches_stepper(&puf, 20, &mut rng, "hot, dim laser");
+            puf.set_environment(Environment::at_temperature(-12.0).with_laser_scale(2.5));
+            assert_reader_matches_stepper(&puf, 20, &mut rng, "cold, bright laser");
+            puf.age_with_rate(10.0, 0.05);
+            assert_reader_matches_stepper(&puf, 20, &mut rng, "aged");
+
+            let mut ook = PhotonicPuf::reference(DieId(4100 + die), die);
+            let mut sampler = DieSampler::new(DieId(4100 + die), variation);
+            ook.modulator = MachZehnderModulator::sampled_with_format(
+                ModulationFormat::Ook {
+                    extinction_db: 12.0,
+                },
+                &mut sampler,
+            );
+            assert_reader_matches_stepper(&ook, 20, &mut rng, "OOK");
+
+            let no_rings = PhotonicPuf::fabricate(DieId(4200 + die), shallow, variation, die);
+            assert_reader_matches_stepper(&no_rings, 20, &mut rng, "shallow, no rings");
+            let short_burst = PhotonicPuf::fabricate(DieId(4300 + die), short, variation, die);
+            assert_reader_matches_stepper(&short_burst, 20, &mut rng, "short burst");
+        }
+    }
+
+    #[test]
+    fn one_shot_reads_match_a_shared_reader() {
+        let puf = PhotonicPuf::reference(DieId(4400), 1);
+        let mut reader = puf.deterministic_reader();
+        let mut rng = StdRng::seed_from_u64(3);
+        for _ in 0..10 {
+            let c = Challenge::random(64, &mut rng);
+            assert_eq!(
+                reader.respond(&c).unwrap(),
+                puf.respond_deterministic(&c).unwrap()
+            );
+        }
+        assert!(matches!(
+            reader.respond(&Challenge::from_u64(1, 32)),
+            Err(PufError::ChallengeLength {
+                expected: 64,
+                actual: 32
+            })
+        ));
     }
 }
 

@@ -13,6 +13,8 @@
 //! * [`mod@rng`] — a `rand`-compatible surface ([`Rng`], [`RngCore`],
 //!   [`SeedableRng`], [`rngs::StdRng`], [`rngs::SmallRng`]) backed by an
 //!   in-tree ChaCha20 keystream and a splitmix64/xoshiro256++ fast path;
+//! * [`mod@chacha`] — the ChaCha20 block function behind that keystream
+//!   and the crypto crate's cipher;
 //! * [`mod@prop`] — a miniature property-testing harness with the
 //!   [`proptest!`] macro, strategy combinators and seeded shrinking;
 //! * [`mod@criterion`] — a tiny bench timer (warmup + iters +
@@ -33,6 +35,7 @@
 
 #![warn(missing_docs)]
 
+pub mod chacha;
 pub mod codec;
 pub mod criterion;
 pub mod pool;

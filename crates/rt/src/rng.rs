@@ -5,15 +5,15 @@
 //! generators ([`StdRng`], [`SmallRng`]) cover exactly the API the rest
 //! of the workspace uses, so migrating a call site from the external
 //! `rand` crate is a path rename. [`StdRng`] runs a ChaCha20 keystream
-//! (the same core the in-tree `neuropuls-crypto` crate implements; the
-//! block function is duplicated here to keep the dependency graph
-//! acyclic). [`SmallRng`] is the non-cryptographic fast path:
-//! xoshiro256++ seeded through splitmix64.
+//! on the block function of [`crate::chacha`], which the in-tree
+//! `neuropuls-crypto` cipher shares. [`SmallRng`] is the
+//! non-cryptographic fast path: xoshiro256++ seeded through splitmix64.
 //!
 //! Nothing here reads OS entropy. Every generator must be constructed
 //! from an explicit seed — reproducibility is part of the experimental
 //! methodology, not an option.
 
+use crate::chacha;
 use std::fmt;
 use std::ops::{Range, RangeInclusive};
 
@@ -457,74 +457,41 @@ impl RngCore for SmallRng {
 ///
 /// Deterministic and high-quality; every experiment in the repository
 /// seeds one of these with a recorded constant so runs replay exactly.
+///
+/// The keystream is a byte stream: `next_u32` and `next_u64` read the
+/// next 4 and 8 bytes little-endian, wherever the previous draw left
+/// off. It is computed eight blocks at a time (`crate::chacha::blocks8`)
+/// into a word buffer, so a draw at a word boundary is a plain word read.
 #[derive(Debug, Clone)]
 pub struct StdRng {
     key: [u32; 8],
+    /// Counter of the first block not yet in `buf`.
     counter: u64,
-    buf: [u8; 64],
+    /// Keystream words of eight consecutive blocks.
+    buf: [u32; chacha::WORDS8],
+    /// Next unread keystream byte of `buf`; `BUF_BYTES` when drained.
     pos: usize,
+    /// The eight-block core: the run-time dispatcher, unless a test pins
+    /// one build.
+    core: fn(&[u32; 8], u64) -> [u32; chacha::WORDS8],
 }
 
-/// One ChaCha20 block (RFC 8439) for key words `key`, zero nonce and
-/// 64-bit block counter `counter`.
-fn chacha20_block(key: &[u32; 8], counter: u64) -> [u8; 64] {
-    const SIGMA: [u32; 4] = [0x6170_7865, 0x3320_646E, 0x7962_2D32, 0x6B20_6574];
-    let mut state = [0u32; 16];
-    state[..4].copy_from_slice(&SIGMA);
-    state[4..12].copy_from_slice(key);
-    state[12] = counter as u32;
-    state[13] = (counter >> 32) as u32;
-    // state[14..16] stay zero (nonce).
-    let mut w = state;
-
-    #[inline(always)]
-    fn quarter(w: &mut [u32; 16], a: usize, b: usize, c: usize, d: usize) {
-        w[a] = w[a].wrapping_add(w[b]);
-        w[d] = (w[d] ^ w[a]).rotate_left(16);
-        w[c] = w[c].wrapping_add(w[d]);
-        w[b] = (w[b] ^ w[c]).rotate_left(12);
-        w[a] = w[a].wrapping_add(w[b]);
-        w[d] = (w[d] ^ w[a]).rotate_left(8);
-        w[c] = w[c].wrapping_add(w[d]);
-        w[b] = (w[b] ^ w[c]).rotate_left(7);
-    }
-
-    for _ in 0..10 {
-        quarter(&mut w, 0, 4, 8, 12);
-        quarter(&mut w, 1, 5, 9, 13);
-        quarter(&mut w, 2, 6, 10, 14);
-        quarter(&mut w, 3, 7, 11, 15);
-        quarter(&mut w, 0, 5, 10, 15);
-        quarter(&mut w, 1, 6, 11, 12);
-        quarter(&mut w, 2, 7, 8, 13);
-        quarter(&mut w, 3, 4, 9, 14);
-    }
-
-    let mut out = [0u8; 64];
-    for i in 0..16 {
-        let word = w[i].wrapping_add(state[i]).to_le_bytes();
-        out[i * 4..i * 4 + 4].copy_from_slice(&word);
-    }
-    out
-}
+const BUF_BYTES: usize = 4 * chacha::WORDS8;
 
 impl StdRng {
     fn refill(&mut self) {
-        self.buf = chacha20_block(&self.key, self.counter);
-        self.counter = self.counter.wrapping_add(1);
+        self.buf = (self.core)(&self.key, self.counter);
+        self.counter = self.counter.wrapping_add(chacha::LANES as u64);
         self.pos = 0;
     }
 
     fn take(&mut self, dest: &mut [u8]) {
-        let mut written = 0;
-        while written < dest.len() {
-            if self.pos == 64 {
+        for byte in dest {
+            if self.pos == BUF_BYTES {
                 self.refill();
             }
-            let n = (dest.len() - written).min(64 - self.pos);
-            dest[written..written + n].copy_from_slice(&self.buf[self.pos..self.pos + n]);
-            self.pos += n;
-            written += n;
+            *byte = (self.buf[self.pos / 4] >> (8 * (self.pos % 4))) as u8;
+            self.pos += 1;
         }
     }
 }
@@ -540,23 +507,36 @@ impl SeedableRng for StdRng {
         StdRng {
             key,
             counter: 0,
-            buf: [0; 64],
-            pos: 64,
+            buf: [0; chacha::WORDS8],
+            pos: BUF_BYTES,
+            core: chacha::blocks8,
         }
     }
 }
 
 impl RngCore for StdRng {
     fn next_u32(&mut self) -> u32 {
-        let mut b = [0u8; 4];
-        self.take(&mut b);
-        u32::from_le_bytes(b)
+        if !self.pos.is_multiple_of(4) {
+            let mut b = [0u8; 4];
+            self.take(&mut b);
+            return u32::from_le_bytes(b);
+        }
+        if self.pos == BUF_BYTES {
+            self.refill();
+        }
+        let word = self.buf[self.pos / 4];
+        self.pos += 4;
+        word
     }
 
     fn next_u64(&mut self) -> u64 {
-        let mut b = [0u8; 8];
-        self.take(&mut b);
-        u64::from_le_bytes(b)
+        let i = self.pos / 4;
+        if self.pos.is_multiple_of(4) && i + 1 < chacha::WORDS8 {
+            self.pos += 8;
+            return u64::from(self.buf[i]) | u64::from(self.buf[i + 1]) << 32;
+        }
+        let low = self.next_u32();
+        u64::from(low) | u64::from(self.next_u32()) << 32
     }
 
     fn fill_bytes(&mut self, dest: &mut [u8]) {
@@ -567,6 +547,110 @@ impl RngCore for StdRng {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The single-block scalar ChaCha20 the eight-block keystream
+    /// replaced, kept as its oracle: key words `key`, zero nonce and
+    /// 64-bit block counter `counter`.
+    fn chacha20_block(key: &[u32; 8], counter: u64) -> [u8; 64] {
+        let words = chacha::block(key, [counter as u32, (counter >> 32) as u32, 0, 0]);
+        let mut out = [0u8; 64];
+        for (bytes, word) in out.chunks_exact_mut(4).zip(words) {
+            bytes.copy_from_slice(&word.to_le_bytes());
+        }
+        out
+    }
+
+    /// The byte-buffered generator the word buffer replaced, kept as the
+    /// stream oracle: one block per refill, every draw copied out byte
+    /// by byte.
+    struct OracleStdRng {
+        key: [u32; 8],
+        counter: u64,
+        buf: [u8; 64],
+        pos: usize,
+    }
+
+    impl OracleStdRng {
+        fn new(seed: u64) -> Self {
+            let key = StdRng::seed_from_u64(seed).key;
+            OracleStdRng {
+                key,
+                counter: 0,
+                buf: [0; 64],
+                pos: 64,
+            }
+        }
+
+        fn take(&mut self, dest: &mut [u8]) {
+            let mut written = 0;
+            while written < dest.len() {
+                if self.pos == 64 {
+                    self.buf = chacha20_block(&self.key, self.counter);
+                    self.counter = self.counter.wrapping_add(1);
+                    self.pos = 0;
+                }
+                let n = (dest.len() - written).min(64 - self.pos);
+                dest[written..written + n].copy_from_slice(&self.buf[self.pos..self.pos + n]);
+                self.pos += n;
+                written += n;
+            }
+        }
+    }
+
+    /// An AVX2-pinned core for [`StdRng::core`]; only installed after
+    /// the CPU reported AVX2.
+    #[cfg(target_arch = "x86_64")]
+    fn avx2_core(key: &[u32; 8], counter: u64) -> [u32; chacha::WORDS8] {
+        assert!(std::arch::is_x86_feature_detected!("avx2"));
+        // SAFETY: AVX2 support was asserted on the line above.
+        unsafe { chacha::blocks8_avx2(key, counter) }
+    }
+
+    /// Mixed `next_u32` / `next_u64` / odd-length `fill_bytes` draws
+    /// against the byte-buffered oracle, across many refills.
+    fn assert_stream_matches_oracle(core: fn(&[u32; 8], u64) -> [u32; chacha::WORDS8]) {
+        let mut draws = 0usize;
+        for seed in 0..4u64 {
+            let mut fast = StdRng::seed_from_u64(seed);
+            fast.core = core;
+            let mut oracle = OracleStdRng::new(seed);
+            // The draw pattern comes from an independent stream.
+            let mut pattern = SmallRng::seed_from_u64(seed);
+            while draws < (seed as usize + 1) * 250_000 {
+                match pattern.next_u32() % 8 {
+                    0..=2 => {
+                        let mut b = [0u8; 4];
+                        oracle.take(&mut b);
+                        assert_eq!(fast.next_u32(), u32::from_le_bytes(b), "draw {draws}");
+                    }
+                    3..=6 => {
+                        let mut b = [0u8; 8];
+                        oracle.take(&mut b);
+                        assert_eq!(fast.next_u64(), u64::from_le_bytes(b), "draw {draws}");
+                    }
+                    _ => {
+                        let len = [1, 3, 5, 7, 12, 33, 67][pattern.next_u32() as usize % 7];
+                        let (mut got, mut want) = ([0u8; 67], [0u8; 67]);
+                        fast.fill_bytes(&mut got[..len]);
+                        oracle.take(&mut want[..len]);
+                        assert_eq!(got, want, "draw {draws}: fill of {len}");
+                    }
+                }
+                draws += 1;
+            }
+            assert!(oracle.counter > 64, "seed {seed} crossed too few refills");
+        }
+    }
+
+    #[test]
+    fn stdrng_stream_matches_the_scalar_oracle_on_every_core() {
+        assert_stream_matches_oracle(chacha::blocks8);
+        assert_stream_matches_oracle(chacha::blocks8_portable);
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            assert_stream_matches_oracle(avx2_core);
+        }
+    }
 
     #[test]
     fn chacha_block_matches_rfc8439_shape() {
