@@ -1,5 +1,4 @@
-//! Regenerates the class-aware admission overload study (E24) and
-//! writes `BENCH_exp_admission.json`.
+//! Regenerates the class-aware admission overload study (E24).
 //!
 //! Run standalone, this binary also *enforces* the fairness target: at
 //! 1024 mixed-class sessions and 4x overload the FIFO policy starves
@@ -7,42 +6,14 @@
 //! the run length) while equal-weight DWRR admits the whole minority
 //! with every class's p99 inside 2x its weight-proportional fair
 //! drain. stdout carries only the deterministic tables (CI diffs 1
-//! thread against 8); the per-cell waits land in the bench JSON.
+//! thread against 8), including the per-cell p99 waits.
 
-use neuropuls_bench::experiments::admission::{acceptance_row, run, CellSummary};
+use neuropuls_bench::experiments::admission::{acceptance_row, run};
 use neuropuls_bench::Scale;
-
-fn write_report(summary: &[CellSummary]) {
-    let mut json = String::new();
-    json.push_str("{\n  \"schema\": \"neuropuls-bench-v1\",\n");
-    json.push_str("  \"target\": \"exp_admission\",\n");
-    json.push_str("  \"benchmarks\": [\n");
-    for (i, &(sessions, overload, _, fifo_p99, _, dwrr_p99, _, _)) in summary.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"fifo_minority_wait_p99/sessions={sessions},overload={overload}x\", \
-             \"samples\": 1, \"iters_per_sample\": 1, \"mean_ns\": {fifo_p99}.0, \
-             \"p50_ns\": {fifo_p99}.0, \"p99_ns\": {fifo_p99}.0, \"throughput_bytes\": null, \
-             \"throughput_elements\": null}},\n"
-        ));
-        json.push_str(&format!(
-            "    {{\"name\": \"dwrr_minority_wait_p99/sessions={sessions},overload={overload}x\", \
-             \"samples\": 1, \"iters_per_sample\": 1, \"mean_ns\": {dwrr_p99}.0, \
-             \"p50_ns\": {dwrr_p99}.0, \"p99_ns\": {dwrr_p99}.0, \"throughput_bytes\": null, \
-             \"throughput_elements\": null}}{}\n",
-            if i + 1 == summary.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    match std::fs::write("BENCH_exp_admission.json", &json) {
-        Ok(()) => eprintln!("wrote BENCH_exp_admission.json"),
-        Err(e) => eprintln!("could not write BENCH_exp_admission.json: {e}"),
-    }
-}
 
 fn main() {
     let (out, summary) = run(Scale::from_args());
     print!("{out}");
-    write_report(&summary);
 
     let (_, _, run_ticks, fifo_p99, fifo_adm, dwrr_p99, _, bounded) =
         acceptance_row(&summary).expect("sweep carries the 1024-session 4x cell");

@@ -3,12 +3,9 @@
 //!
 //! stdout carries only the experiment tables — byte-identical at any
 //! `NEUROPULS_THREADS` value (CI diffs 1 thread against N). Timing
-//! chatter goes to stderr, and the harness wall clock is recorded in
-//! `BENCH_exp_all.json` (`harness_wall_clock/threads=N` entries).
+//! chatter, including the harness wall clock, goes to stderr.
 //!
-//! Flags: `--smoke` for the CI-sized configuration, `--baseline` to
-//! also run a forced 1-thread pass, assert its output is byte-identical
-//! and record the serial-vs-parallel speedup.
+//! Flags: `--smoke` for the CI-sized configuration.
 
 use neuropuls_bench::{experiments, Rendered, Scale};
 use neuropuls_rt::pool;
@@ -74,30 +71,8 @@ fn run_all(scale: Scale) -> Vec<String> {
     })
 }
 
-fn write_wall_clock_report(entries: &[(usize, f64)]) {
-    let mut json = String::new();
-    json.push_str("{\n  \"schema\": \"neuropuls-bench-v1\",\n");
-    json.push_str("  \"target\": \"exp_all\",\n");
-    json.push_str("  \"benchmarks\": [\n");
-    for (i, (threads, ns)) in entries.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"name\": \"harness_wall_clock/threads={threads}\", \"samples\": 1, \
-             \"iters_per_sample\": 1, \"mean_ns\": {ns:.1}, \"p50_ns\": {ns:.1}, \
-             \"p99_ns\": {ns:.1}, \"throughput_bytes\": null, \
-             \"throughput_elements\": null}}{}\n",
-            if i + 1 == entries.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    match std::fs::write("BENCH_exp_all.json", &json) {
-        Ok(()) => eprintln!("wrote BENCH_exp_all.json"),
-        Err(e) => eprintln!("could not write BENCH_exp_all.json: {e}"),
-    }
-}
-
 fn main() {
     let scale = Scale::from_args();
-    let baseline = std::env::args().any(|a| a == "--baseline");
     let threads = pool::current_threads();
 
     let t0 = Instant::now();
@@ -107,21 +82,4 @@ fn main() {
         print!("{o}");
     }
     eprintln!("harness wall clock: {elapsed:.2} s at {threads} threads");
-
-    let mut entries = vec![(threads, elapsed * 1e9)];
-    if baseline && threads > 1 {
-        let t1 = Instant::now();
-        let serial = pool::with_threads(1, || run_all(scale));
-        let serial_elapsed = t1.elapsed().as_secs_f64();
-        assert_eq!(
-            serial, outputs,
-            "parallel output must be byte-identical to serial"
-        );
-        eprintln!(
-            "serial baseline: {serial_elapsed:.2} s — speedup {:.2}x, output byte-identical",
-            serial_elapsed / elapsed
-        );
-        entries.push((1, serial_elapsed * 1e9));
-    }
-    write_wall_clock_report(&entries);
 }

@@ -1,5 +1,4 @@
-//! Regenerates the persistent keep-alive fleet study (E23) and writes
-//! `BENCH_exp_fleet_longrun.json`.
+//! Regenerates the persistent keep-alive fleet study (E23).
 //!
 //! Run standalone, this binary also *enforces* the persistent-session
 //! targets: at 1024 mostly-idle devices the keep-alive driver must
@@ -7,51 +6,14 @@
 //! every-resident-slot-every-tick loop, and a 10% lossy control link
 //! must lose zero re-attestations (every fired epoch completes).
 //! stdout carries only the deterministic tables (CI diffs 1 thread
-//! against 8); the per-cell step and epoch counts land in the bench
-//! JSON.
+//! against 8), including the per-cell step and epoch counts.
 
-use neuropuls_bench::experiments::fleet_longrun::{acceptance, run, saving, CellSummary};
+use neuropuls_bench::experiments::fleet_longrun::{acceptance, run, saving};
 use neuropuls_bench::Scale;
-
-fn write_report(summary: &[CellSummary]) {
-    let mut json = String::new();
-    json.push_str("{\n  \"schema\": \"neuropuls-bench-v1\",\n");
-    json.push_str("  \"target\": \"exp_fleet_longrun\",\n");
-    json.push_str("  \"benchmarks\": [\n");
-    for (i, &(devices, loss, steps, dense, fired, completed, _, _, _)) in summary.iter().enumerate()
-    {
-        let pct = loss * 100.0;
-        json.push_str(&format!(
-            "    {{\"name\": \"keepalive_steps/devices={devices},loss={pct:.0}%\", \
-             \"samples\": 1, \"iters_per_sample\": 1, \"mean_ns\": {steps}.0, \
-             \"p50_ns\": {steps}.0, \"p99_ns\": {steps}.0, \"throughput_bytes\": null, \
-             \"throughput_elements\": {steps}}},\n"
-        ));
-        json.push_str(&format!(
-            "    {{\"name\": \"dense_equiv_steps/devices={devices},loss={pct:.0}%\", \
-             \"samples\": 1, \"iters_per_sample\": 1, \"mean_ns\": {dense}.0, \
-             \"p50_ns\": {dense}.0, \"p99_ns\": {dense}.0, \"throughput_bytes\": null, \
-             \"throughput_elements\": {dense}}},\n"
-        ));
-        json.push_str(&format!(
-            "    {{\"name\": \"epochs_completed/devices={devices},loss={pct:.0}%\", \
-             \"samples\": 1, \"iters_per_sample\": 1, \"mean_ns\": {completed}.0, \
-             \"p50_ns\": {completed}.0, \"p99_ns\": {fired}.0, \"throughput_bytes\": null, \
-             \"throughput_elements\": {completed}}}{}\n",
-            if i + 1 == summary.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    match std::fs::write("BENCH_exp_fleet_longrun.json", &json) {
-        Ok(()) => eprintln!("wrote BENCH_exp_fleet_longrun.json"),
-        Err(e) => eprintln!("could not write BENCH_exp_fleet_longrun.json: {e}"),
-    }
-}
 
 fn main() {
     let (out, summary) = run(Scale::from_args());
     print!("{out}");
-    write_report(&summary);
 
     let (step_saving, no_lost) = acceptance(&summary).expect("sweep carries the 1024-device cell");
     assert!(

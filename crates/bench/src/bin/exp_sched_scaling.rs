@@ -1,48 +1,17 @@
-//! Regenerates the event-driven scheduler idle-scaling study (E22)
-//! and writes `BENCH_exp_sched_scaling.json`.
+//! Regenerates the event-driven scheduler idle-scaling study (E22).
 //!
 //! Run standalone, this binary also *enforces* the scheduler target:
 //! at 1024 mostly-idle sessions the wake-based gateway must make >= 5x
 //! fewer `Session::step` calls than the dense every-session-every-tick
 //! loop it replaced. stdout carries only the deterministic tables (CI
-//! diffs 1 thread against 8); the per-cell step counts land in the
-//! bench JSON.
+//! diffs 1 thread against 8), including the per-cell step counts.
 
-use neuropuls_bench::experiments::sched_scaling::{acceptance_saving, run, CellSummary};
+use neuropuls_bench::experiments::sched_scaling::{acceptance_saving, run};
 use neuropuls_bench::Scale;
-
-fn write_report(summary: &[CellSummary]) {
-    let mut json = String::new();
-    json.push_str("{\n  \"schema\": \"neuropuls-bench-v1\",\n");
-    json.push_str("  \"target\": \"exp_sched_scaling\",\n");
-    json.push_str("  \"benchmarks\": [\n");
-    for (i, &(sessions, loss, steps, dense, _, _)) in summary.iter().enumerate() {
-        let pct = loss * 100.0;
-        json.push_str(&format!(
-            "    {{\"name\": \"wake_steps/sessions={sessions},loss={pct:.0}%\", \
-             \"samples\": 1, \"iters_per_sample\": 1, \"mean_ns\": {steps}.0, \
-             \"p50_ns\": {steps}.0, \"p99_ns\": {steps}.0, \"throughput_bytes\": null, \
-             \"throughput_elements\": {steps}}},\n"
-        ));
-        json.push_str(&format!(
-            "    {{\"name\": \"dense_equiv_steps/sessions={sessions},loss={pct:.0}%\", \
-             \"samples\": 1, \"iters_per_sample\": 1, \"mean_ns\": {dense}.0, \
-             \"p50_ns\": {dense}.0, \"p99_ns\": {dense}.0, \"throughput_bytes\": null, \
-             \"throughput_elements\": {dense}}}{}\n",
-            if i + 1 == summary.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    match std::fs::write("BENCH_exp_sched_scaling.json", &json) {
-        Ok(()) => eprintln!("wrote BENCH_exp_sched_scaling.json"),
-        Err(e) => eprintln!("could not write BENCH_exp_sched_scaling.json: {e}"),
-    }
-}
 
 fn main() {
     let (out, summary) = run(Scale::from_args());
     print!("{out}");
-    write_report(&summary);
 
     let saving = acceptance_saving(&summary).expect("sweep carries the 1024-session cell");
     assert!(

@@ -34,9 +34,9 @@ const FAULTS: [&str; 2] = ["drop", "corrupt"];
 /// One `(protocol, fault, rate)` cell of the sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CellReport {
-    /// Protocol name (one of [`PROTOCOLS`]).
+    /// Protocol name: `mutual-auth`, `attestation`, `eke` or `secure-nn`.
     pub protocol: &'static str,
-    /// Fault kind (one of [`FAULTS`]).
+    /// Fault kind: `drop` or `corrupt`.
     pub fault: &'static str,
     /// Per-frame fault probability.
     pub rate: f64,

@@ -10,7 +10,7 @@
 //! On top of the encodings sits a small poll-style session vocabulary:
 //! a [`Session`] is stepped with at most one incoming frame per tick
 //! and answers with a [`SessionAction`]. Sessions implement
-//! stop-and-wait ARQ through [`Arq`]: the last frame sent is kept for
+//! stop-and-wait ARQ through `Arq`: the last frame sent is kept for
 //! retransmission, silence for [`SessionConfig::timeout_ticks`] ticks
 //! triggers a retransmit, and [`SessionConfig::max_retries`]
 //! retransmissions without progress fail the session with
@@ -427,7 +427,8 @@ pub enum SecureNnMsg {
     /// versioned — see [`NN_BATCH_VERSION`]).
     ExecuteChunk(NnChunk),
     /// Accelerator acknowledges request chunk `index` (tag 6). The ack
-    /// for the final chunk is replaced by the first [`OutputChunk`].
+    /// for the final chunk is replaced by the first
+    /// [`OutputChunk`](Self::OutputChunk).
     ChunkAck {
         /// Index of the request chunk being acknowledged.
         index: u32,

@@ -8,7 +8,7 @@
 //! mutual-authentication protocol) requires that every experiment be
 //! replayable bit-for-bit from a recorded seed.
 //!
-//! Four services live here:
+//! It provides:
 //!
 //! * [`mod@rng`] — a `rand`-compatible surface ([`Rng`], [`RngCore`],
 //!   [`SeedableRng`], [`rngs::StdRng`], [`rngs::SmallRng`]) backed by an
@@ -17,8 +17,6 @@
 //!   and the crypto crate's cipher;
 //! * [`mod@prop`] — a miniature property-testing harness with the
 //!   [`proptest!`] macro, strategy combinators and seeded shrinking;
-//! * [`mod@criterion`] — a tiny bench timer (warmup + iters +
-//!   mean/p50/p99) that writes machine-readable `BENCH_*.json` reports;
 //! * [`mod@codec`] — a no-derive serialization helper
 //!   ([`codec::ToBytes`] / [`codec::FromBytes`]) with a versioned header;
 //! * [`mod@pool`] — a std-only scoped thread pool (`par_map` /
@@ -37,7 +35,6 @@
 
 pub mod chacha;
 pub mod codec;
-pub mod criterion;
 pub mod pool;
 pub mod prop;
 pub mod rng;

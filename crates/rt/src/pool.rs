@@ -22,8 +22,8 @@
 //!
 //! The worker count comes from, in priority order:
 //!
-//! 1. a scoped [`with_threads`] override (used by tests and by the
-//!    serial baseline pass of `exp_all --baseline`);
+//! 1. a scoped [`with_threads`] override (used by tests and by E21's
+//!    fixed-width passes);
 //! 2. the `NEUROPULS_THREADS` environment variable (read once per
 //!    process; invalid or zero values are ignored);
 //! 3. [`std::thread::available_parallelism`].

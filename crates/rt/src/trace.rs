@@ -1149,6 +1149,28 @@ mod tests {
     }
 
     #[test]
+    fn registry_scalars_and_distributions_keep_gem5_semantics() {
+        let reg = Registry::new();
+        reg.add("cpu.instructions", 10.0, "retired instructions");
+        reg.add("cpu.instructions", 5.0, "retired instructions");
+        assert_eq!(reg.scalar("cpu.instructions"), 15.0);
+        reg.add("x", 3.0, "");
+        reg.set("x", 1.0, "");
+        assert_eq!(reg.scalar("x"), 1.0);
+        for v in [1.0, 2.0, 3.0] {
+            reg.sample("lat", v, "latency");
+        }
+        assert_eq!(reg.count("lat"), 3);
+        assert!((reg.mean("lat") - 2.0).abs() < 1e-12);
+        assert_eq!(reg.scalar("nothing"), 0.0);
+        assert!(reg.mean("nothing").is_nan());
+        assert_eq!(reg.count("nothing"), 0);
+        reg.reset();
+        assert_eq!(reg.scalar("cpu.instructions"), 0.0);
+        assert_eq!(reg.count("lat"), 0);
+    }
+
+    #[test]
     fn registry_merge_accumulates_everything() {
         let a = Registry::new();
         let b = Registry::new();

@@ -16,8 +16,9 @@
 //! * [`peripherals`] — the PUF peripheral (the §V "peripheral module
 //!   connected to the RISC-V microprocessor"), an accelerator window and
 //!   a UART;
-//! * [`soc`] — the wired system with gem5-style [`stats`] including
-//!   throughput, latency and a picojoule-level energy model.
+//! * [`soc`] — the wired system with gem5-style statistics (a
+//!   [`neuropuls_rt::trace::Registry`]) including throughput, latency
+//!   and a picojoule-level energy model.
 //!
 //! # Example — firmware interrogating the PUF
 //!
@@ -42,7 +43,5 @@ pub mod fleet;
 pub mod peripherals;
 pub mod riscv;
 pub mod soc;
-pub mod stats;
 
 pub use soc::{Soc, StopReason};
-pub use stats::StatRegistry;

@@ -11,9 +11,9 @@ use crate::asm::{assemble, AsmError};
 use crate::bus::{Bus, Ram};
 use crate::peripherals::{AccelPeripheral, PufPeripheral, PufTelemetry, Uart};
 use crate::riscv::{Cpu, Trap};
-use crate::stats::StatRegistry;
 use neuropuls_accel::engine::PhotonicEngine;
 use neuropuls_puf::photonic::PhotonicPuf;
+use neuropuls_rt::trace::Registry;
 use std::sync::Arc;
 use std::sync::Mutex;
 
@@ -65,7 +65,7 @@ impl Default for EnergyModel {
 pub struct Soc {
     cpu: Cpu,
     bus: Bus,
-    stats: StatRegistry,
+    stats: Registry,
     energy: EnergyModel,
     puf_telemetry: Arc<Mutex<PufTelemetry>>,
     uart_buffer: Arc<Mutex<Vec<u8>>>,
@@ -104,7 +104,7 @@ impl Soc {
         Soc {
             cpu: Cpu::new(memory_map::RAM_BASE),
             bus,
-            stats: StatRegistry::new(),
+            stats: Registry::new(),
             energy: EnergyModel::default(),
             puf_telemetry,
             uart_buffer,
@@ -151,7 +151,7 @@ impl Soc {
     }
 
     /// The statistics registry.
-    pub fn stats(&self) -> &StatRegistry {
+    pub fn stats(&self) -> &Registry {
         &self.stats
     }
 
