@@ -43,5 +43,7 @@ pub mod fleet;
 pub mod peripherals;
 pub mod riscv;
 pub mod soc;
+#[cfg(test)]
+mod stats;
 
 pub use soc::{Soc, StopReason};

@@ -1,26 +1,19 @@
-//! gem5-style statistics registry — folded into `neuropuls_rt::trace`.
+//! gem5-style statistics semantics the SoC relies on.
 //!
 //! §V: "The gem5-provided log facility allows data collection to assess
 //! entropy, uniqueness, and response uniformity … throughput, latency,
-//! and power consumption measurements are essential". Components
-//! register named scalar counters and distributions; a dump renders the
-//! familiar `name value # description` format.
-//!
-//! The implementation now lives in [`neuropuls_rt::trace::Registry`],
-//! which keeps this module's whole scalar/distribution API and dump
-//! format and adds integer counters, fixed-boundary histograms, JSONL
-//! export and thread-safe `&self` recording. This alias remains the
-//! system crate's spelling of it.
-
-pub use neuropuls_rt::trace::Registry as StatRegistry;
+//! and power consumption measurements are essential". [`crate::soc`]
+//! records its statistics in a [`neuropuls_rt::trace::Registry`]; these
+//! tests pin the scalar, distribution and dump behaviour the SoC's
+//! `name value # description` report depends on.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use neuropuls_rt::trace::Registry;
 
     #[test]
     fn counters_accumulate() {
-        let stats = StatRegistry::new();
+        let stats = Registry::new();
         stats.add("cpu.instructions", 10.0, "retired instructions");
         stats.add("cpu.instructions", 5.0, "retired instructions");
         assert_eq!(stats.scalar("cpu.instructions"), 15.0);
@@ -28,7 +21,7 @@ mod tests {
 
     #[test]
     fn set_overrides() {
-        let stats = StatRegistry::new();
+        let stats = Registry::new();
         stats.add("x", 3.0, "");
         stats.set("x", 1.0, "");
         assert_eq!(stats.scalar("x"), 1.0);
@@ -36,7 +29,7 @@ mod tests {
 
     #[test]
     fn distribution_moments() {
-        let stats = StatRegistry::new();
+        let stats = Registry::new();
         for v in [1.0, 2.0, 3.0] {
             stats.sample("lat", v, "latency");
         }
@@ -46,7 +39,7 @@ mod tests {
 
     #[test]
     fn missing_stats_have_neutral_values() {
-        let stats = StatRegistry::new();
+        let stats = Registry::new();
         assert_eq!(stats.scalar("nothing"), 0.0);
         assert!(stats.mean("nothing").is_nan());
         assert_eq!(stats.count("nothing"), 0);
@@ -54,7 +47,7 @@ mod tests {
 
     #[test]
     fn dump_contains_entries() {
-        let stats = StatRegistry::new();
+        let stats = Registry::new();
         stats.add("sim.ticks", 100.0, "simulated ticks");
         stats.sample("puf.latency", 6.0, "per-eval latency");
         let dump = stats.dump();
@@ -65,7 +58,7 @@ mod tests {
 
     #[test]
     fn reset_clears() {
-        let stats = StatRegistry::new();
+        let stats = Registry::new();
         stats.add("a", 1.0, "");
         stats.reset();
         assert_eq!(stats.scalar("a"), 0.0);
@@ -73,8 +66,7 @@ mod tests {
 
     #[test]
     fn registry_gains_counters_and_histograms() {
-        // The fold's new surface is reachable through the old name.
-        let stats = StatRegistry::new();
+        let stats = Registry::new();
         stats.counter("bus.reads", 2);
         stats.observe("queue.depth", 3.0);
         assert_eq!(stats.counter_value("bus.reads"), 2);
