@@ -1,5 +1,5 @@
 //! E17 — §V fleet scheduling: a verifier farm attesting a device fleet
-//! on the discrete-event engine; verifier utilization, backlog and
+//! on the runtime timer wheel; verifier utilization, backlog and
 //! turnaround vs fleet size, and the saturation knee vs farm size.
 
 use crate::{Rendered, Scale};

@@ -1,11 +1,11 @@
-//! Fleet-scale attestation scheduling on the discrete-event engine.
+//! Fleet-scale attestation scheduling on the runtime timer wheel.
 //!
 //! §V's "holistic approach to modeling and simulating a heterogeneous
 //! system" includes the verifier side: an edge deployment has one or
-//! more verifiers attesting many devices on a period. This module
-//! schedules a device fleet through [`crate::event::EventQueue`] and
-//! measures verifier utilization, queue depth and per-device turnaround
-//! — the capacity-planning numbers a deployment needs.
+//! more verifiers attesting many devices on a period. [`run_fleet`]
+//! schedules a device fleet on a [`TimerWheel`] and measures verifier
+//! utilization, queue depth and per-device turnaround — the
+//! capacity-planning numbers a deployment needs.
 //!
 //! Accounting contract (the E17 regression tests pin these):
 //!
@@ -20,23 +20,23 @@
 //!   being served is not backlog, and only requests that actually
 //!   queued decrement the backlog when they finish.
 //!
-//! After the event-driven campaign every device additionally runs
-//! mutual-authentication sessions (§III-A) over **one shared lossy
-//! control link**: each round checks every device's enrollment record
-//! out of a sharded, cache-fronted [`CrpStore`], multiplexes all of
-//! the round's wire sessions through [`run_gateway`] over a
-//! single [`FaultyChannel`], and commits the rotated CRPs back. The
-//! report counts completions, retransmissions, previous-CRP desync
-//! recoveries, gateway late frames and CRP-cache effectiveness across
-//! the fleet.
+//! Control-link authentication lives in one driver,
+//! [`run_fleet_persistent`]: every device stays resident in the
+//! keep-alive gateway over **one shared lossy link**, re-authenticating
+//! (§III-A) on timer-armed epochs, with its enrollment record checked
+//! out of a sharded, cache-fronted [`CrpStore`] per epoch and the
+//! rotated CRP committed back. After its campaign, [`run_fleet`] runs
+//! its `auth_sessions` rounds as one zero-jitter keep-alive run and
+//! reports completions, retransmissions, previous-CRP desync
+//! recoveries, late frames and CRP-cache effectiveness across the
+//! fleet.
 
 use crate::crp_store::{CrpStore, CrpStoreConfig, CrpStoreStats};
-use crate::event::{EventQueue, Tick};
 use neuropuls_photonic::process::DieId;
 use neuropuls_protocols::attestation::{AttestationVerifier, AttestingDevice, TimingModel};
 use neuropuls_protocols::gateway::{
-    run_gateway, run_persistent_gateway, ClassId, EpochOutcome, EpochSession, GatewayConfig,
-    KeepAlive, PersistentConfig, SessionPair, SlotVerdict,
+    run_persistent_gateway, ClassId, EpochOutcome, EpochSession, KeepAlive, PersistentConfig,
+    SlotVerdict,
 };
 use neuropuls_protocols::mutual_auth::{
     Device as AuthDevice, Verifier as AuthVerifier, WireDevice, WireVerifier,
@@ -45,6 +45,7 @@ use neuropuls_protocols::transport::{FaultRates, FaultyChannel};
 use neuropuls_protocols::wire::{ProtocolId, SessionConfig};
 use neuropuls_puf::photonic::PhotonicPuf;
 use neuropuls_rt::rngs::StdRng;
+use neuropuls_rt::sched::TimerWheel;
 use neuropuls_rt::trace::{Registry, SpanId, Tracer};
 use neuropuls_rt::{Rng, SeedableRng};
 
@@ -56,28 +57,27 @@ struct FleetDevice {
     compromised: bool,
 }
 
-/// Events in the fleet simulation.
-enum FleetEvent {
-    /// Device `idx` is due for attestation.
-    Due(usize),
-    /// A verifier finished checking device `idx`.
-    Done {
-        /// Device index.
-        idx: usize,
-        /// Verdict of the attestation.
-        ok: bool,
-        /// Tick at which the request was issued.
-        requested_at: Tick,
-        /// Whether the request waited for a busy verifier farm.
-        queued: bool,
-        /// Trace span opened when the check was dispatched (id 0 when
-        /// tracing is disabled).
-        span: SpanId,
-    },
+/// An attestation check dispatched to a verifier, awaiting its verdict.
+struct Check {
+    /// Device index.
+    idx: usize,
+    /// Verdict of the attestation.
+    ok: bool,
+    /// Nanosecond at which the request was issued.
+    requested_at: u64,
+    /// Whether the request waited for a busy verifier farm.
+    queued: bool,
+    /// Trace span opened when the check was dispatched (id 0 when
+    /// tracing is disabled).
+    span: SpanId,
 }
 
+/// Wheel ticks between the control link's authentication rounds: long
+/// enough that a round over a lossy link closes before the next fires.
+const AUTH_ROUND_PERIOD: u64 = 512;
+
 /// Aggregate results of a fleet campaign.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FleetReport {
     /// Devices attested.
     pub devices: usize,
@@ -113,11 +113,9 @@ pub struct FleetReport {
     pub auth_retransmits: u64,
     /// Previous-CRP desynchronization recoveries across the fleet.
     pub auth_desync_recoveries: u64,
-    /// Gateway ticks spent across all control-link rounds.
-    pub auth_gateway_ticks: u64,
     /// Frames that arrived for already-closed sessions on the shared
-    /// link (counted by the gateway and the inter-round drain — never
-    /// silently dropped).
+    /// link (counted by the keep-alive gateway — never silently
+    /// dropped).
     pub auth_late_frames: u64,
     /// CRP-store cache counters across the control-link phase.
     pub crp: CrpStoreStats,
@@ -180,10 +178,11 @@ impl Default for FleetConfig {
 /// spans opened at dispatch, closed at verdict; checks still in flight
 /// at the horizon stay open, mirroring `in_flight_at_horizon`), and the
 /// control-link phase emits one compact `auth.session` instant per wire
-/// session. `registry` accumulates `fleet.*` counters plus turnaround
-/// and queue-depth histograms. Callers that don't care pass
-/// `Tracer::disabled()` and a throwaway `Registry` — observability
-/// never perturbs the simulation.
+/// session, ordered by round, then device. `registry` accumulates
+/// `fleet.*` counters plus turnaround and queue-depth histograms, and
+/// the control link's `keepalive.*` and `crp_store.*` entries. Callers
+/// that don't care pass `Tracer::disabled()` and a throwaway `Registry`
+/// — observability never perturbs the simulation.
 ///
 /// # Panics
 ///
@@ -221,16 +220,23 @@ pub fn run_fleet(config: &FleetConfig, tracer: &mut Tracer, registry: &Registry)
         })
         .collect();
 
-    // Ticks are nanoseconds here.
-    let mut queue: EventQueue<FleetEvent> = EventQueue::new();
+    // Simulated time is in nanoseconds. Wheel ticks run one ahead of
+    // it: the wheel clamps a deadline to `now + 1`, yet a stagger of 0
+    // must fire at 0 ns, so events are scheduled at `t + 1` and handled
+    // at `fire - 1`. Tokens below `devices` are due attestations; token
+    // `devices + k` is the verdict of `checks[k]`.
+    let mut wheel = TimerWheel::new();
     for i in 0..config.devices {
         let stagger = rng.gen_range(0..(config.period_us * 1000.0) as u64);
-        queue.schedule(stagger, FleetEvent::Due(i));
+        wheel.schedule_at(stagger + 1, i as u64);
     }
 
-    let horizon = (config.horizon_us * 1000.0) as Tick;
-    let period = (config.period_us * 1000.0) as Tick;
-    let mut free_at: Vec<Tick> = vec![0; config.verifiers];
+    let horizon = (config.horizon_us * 1000.0) as u64;
+    let period = (config.period_us * 1000.0) as u64;
+    let devices = config.devices as u64;
+    let mut checks: Vec<Check> = Vec::new();
+    let mut fired: Vec<(u64, u64)> = Vec::new();
+    let mut free_at: Vec<u64> = vec![0; config.verifiers];
     let mut busy_ns: u64 = 0;
     let mut backlog: usize = 0;
     let mut max_backlog = 0usize;
@@ -240,230 +246,103 @@ pub fn run_fleet(config: &FleetConfig, tracer: &mut Tracer, registry: &Registry)
     let mut caught = vec![false; config.devices];
     let mut turnaround_sum_ns = 0u64;
 
-    queue.run_until(horizon, |queue, now, event| match event {
-        FleetEvent::Due(idx) => {
-            tracer.instant(now, "attest.due", vec![("device", idx.into())]);
-            let entry = &mut fleet[idx];
-            let request = entry.verifier.begin();
-            // A device that cannot even produce a report (bad challenge
-            // width) counts as a failed attestation, not a sim crash.
-            let ok = match entry.device.attest(&request) {
-                Ok(report) => entry.verifier.verify(&request, &report).is_ok(),
-                Err(_) => false,
-            };
-            // The chosen verifier recomputes the walk serially: busy for
-            // the honest walk duration of this device.
-            let chunks = entry.memory_bytes.div_ceil(64) as f64;
-            let check_ns = (chunks * timing.chunk_ns()) as Tick;
-            // Earliest-available verifier, ties to the lowest index.
-            // `free_at` is non-empty (verifiers is asserted non-zero),
-            // so the fallback index never fires; it exists to keep the
-            // scheduling loop panic-free.
-            let v = (0..free_at.len())
-                .min_by_key(|&v| (free_at[v], v))
-                .unwrap_or(0);
-            let start = free_at[v].max(now);
-            let queued = start > now;
-            if queued {
-                backlog += 1;
-                max_backlog = max_backlog.max(backlog);
-            }
-            free_at[v] = start + check_ns;
-            // Busy time clamped to the horizon: work scheduled past the
-            // campaign end must not count toward utilization.
-            busy_ns += free_at[v].min(horizon).saturating_sub(start.min(horizon));
-            requests += 1;
-            registry.counter("fleet.requests", 1);
-            registry.observe("fleet.queue_depth", backlog as f64);
-            let span = tracer.span_start(
-                start,
-                "attest.check",
-                vec![
-                    ("device", idx.into()),
-                    ("verifier", v.into()),
-                    ("queued", queued.into()),
-                ],
-            );
-            queue.schedule(
-                free_at[v],
-                FleetEvent::Done {
+    while let Some(deadline) = wheel.next_deadline() {
+        if deadline - 1 > horizon {
+            break;
+        }
+        fired.clear();
+        wheel.advance_to(deadline, &mut fired);
+        for &(fire, token) in &fired {
+            let now = fire - 1;
+            if token < devices {
+                let idx = token as usize;
+                tracer.instant(now, "attest.due", vec![("device", idx.into())]);
+                let entry = &mut fleet[idx];
+                let request = entry.verifier.begin();
+                // A device that cannot even produce a report (bad
+                // challenge width) counts as a failed attestation, not
+                // a sim crash.
+                let ok = match entry.device.attest(&request) {
+                    Ok(report) => entry.verifier.verify(&request, &report).is_ok(),
+                    Err(_) => false,
+                };
+                // The chosen verifier recomputes the walk serially:
+                // busy for the honest walk duration of this device.
+                let chunks = entry.memory_bytes.div_ceil(64) as f64;
+                let check_ns = (chunks * timing.chunk_ns()) as u64;
+                // Earliest-available verifier, ties to the lowest index.
+                // `free_at` is non-empty (verifiers is asserted
+                // non-zero), so the fallback index never fires; it
+                // exists to keep the scheduling loop panic-free.
+                let v = (0..free_at.len())
+                    .min_by_key(|&v| (free_at[v], v))
+                    .unwrap_or(0);
+                let start = free_at[v].max(now);
+                let queued = start > now;
+                if queued {
+                    backlog += 1;
+                    max_backlog = max_backlog.max(backlog);
+                }
+                free_at[v] = start + check_ns;
+                // Busy time clamped to the horizon: work scheduled past
+                // the campaign end must not count toward utilization.
+                busy_ns += free_at[v].min(horizon).saturating_sub(start.min(horizon));
+                requests += 1;
+                registry.counter("fleet.requests", 1);
+                registry.observe("fleet.queue_depth", backlog as f64);
+                let span = tracer.span_start(
+                    start,
+                    "attest.check",
+                    vec![
+                        ("device", idx.into()),
+                        ("verifier", v.into()),
+                        ("queued", queued.into()),
+                    ],
+                );
+                wheel.schedule_at(free_at[v] + 1, devices + checks.len() as u64);
+                checks.push(Check {
                     idx,
                     ok,
                     requested_at: now,
                     queued,
                     span,
-                },
-            );
-            // Next periodic attestation.
-            if now + period <= horizon {
-                queue.schedule(now + period, FleetEvent::Due(idx));
-            }
-        }
-        FleetEvent::Done {
-            idx,
-            ok,
-            requested_at,
-            queued,
-            span,
-        } => {
-            tracer.span_end(now, span, vec![("ok", ok.into())]);
-            registry.counter("fleet.attestations", 1);
-            registry.observe("fleet.turnaround_ns", (now - requested_at) as f64);
-            // Only requests that actually waited ever entered the
-            // backlog, so only they leave it.
-            if queued {
-                // invariant: every queued Done had a matching backlog
-                // increment at request time; underflow means the
-                // accounting itself broke, which must stay loud.
-                backlog = backlog.checked_sub(1).expect("backlog underflow");
-            }
-            attestations += 1;
-            // Turnaround accumulates at completion time, so the sum and
-            // the `attestations` divisor cover the same requests.
-            turnaround_sum_ns += now - requested_at;
-            if ok {
-                passed += 1;
-                registry.counter("fleet.passed", 1);
-            } else if fleet[idx].compromised {
-                caught[idx] = true;
-            }
-        }
-    });
-
-    // Everything still scheduled is a `Done` past the horizon: requests
-    // issued but not resolved in time.
-    let in_flight = queue.len();
-    debug_assert_eq!(attestations + in_flight, requests, "request conservation");
-
-    // Control-link phase: every device opens mutual-authentication
-    // sessions (§III-A), all rounds multiplexed by the gateway over
-    // *one* shared lossy wire. Verifier-side enrollment lives in the
-    // sharded CRP store: each round checks every record out (exclusive
-    // — one live session per device), runs the round's sessions
-    // concurrently, and commits the rotated CRPs back. The link seed is
-    // derived independently of the scheduling RNG so the event-driven
-    // results above are unchanged by this phase.
-    let mut auth_attempted = 0usize;
-    let mut auth_completed = 0usize;
-    let mut auth_retransmits = 0u64;
-    let mut auth_desync_recoveries = 0u64;
-    let mut auth_gateway_ticks = 0u64;
-    let mut auth_late_frames = 0u64;
-    let mut crp = CrpStoreStats::default();
-    if config.auth_sessions > 0 {
-        let mut store: CrpStore<AuthVerifier> = CrpStore::new(CrpStoreConfig {
-            shards: config.crp_shards,
-            hot_capacity: config.crp_hot_capacity,
-        });
-        let mut devices: Vec<(usize, AuthDevice<PhotonicPuf>)> = Vec::new();
-        for i in 0..config.devices {
-            let die = DieId(0xF1_A000 + i as u64);
-            let memory: Vec<u8> = (0..256).map(|b| (b * 17 % 249) as u8).collect();
-            let Ok((device, provisioned)) =
-                AuthDevice::provision(PhotonicPuf::reference(die, 1), memory, b"fleet-auth")
-            else {
-                // A device whose PUF cannot provision never joins the
-                // fleet; it contributes no sessions.
-                continue;
-            };
-            let verifier = AuthVerifier::new(provisioned, b"fleet-auth-verifier");
-            if store.enroll(i as u64, verifier).is_ok() {
-                devices.push((i, device));
-            }
-        }
-
-        let link_seed = config.seed ^ 0xA117_0000_0000_0000;
-        let mut link = FaultyChannel::new(FaultRates::loss(config.auth_loss_rate), link_seed);
-        let gateway_cfg = GatewayConfig {
-            max_active: 64,
-            accept_queue: 16,
-            max_ticks: 4096.max(config.devices as u64 * 64),
-            ..GatewayConfig::default()
-        };
-        for round in 0..config.auth_sessions {
-            // Exclusive checkout of this round's verifier records, in
-            // device order (deterministic; misses are cold records the
-            // hot set no longer holds).
-            let mut checked: Vec<(usize, AuthVerifier)> = Vec::new();
-            for &(i, _) in &devices {
-                if let Ok(verifier) = store.checkout(i as u64) {
-                    checked.push((i, verifier));
+                });
+                // Next periodic attestation.
+                if now + period <= horizon {
+                    wheel.schedule_at(now + period + 1, token);
+                }
+            } else {
+                let check = &checks[(token - devices) as usize];
+                tracer.span_end(now, check.span, vec![("ok", check.ok.into())]);
+                registry.counter("fleet.attestations", 1);
+                registry.observe("fleet.turnaround_ns", (now - check.requested_at) as f64);
+                // Only requests that actually waited ever entered the
+                // backlog, so only they leave it.
+                if check.queued {
+                    // invariant: every queued check had a matching
+                    // backlog increment at request time; underflow means
+                    // the accounting itself broke, which must stay loud.
+                    backlog = backlog.checked_sub(1).expect("backlog underflow");
+                }
+                attestations += 1;
+                // Turnaround accumulates at completion time, so the sum
+                // and the `attestations` divisor cover the same requests.
+                turnaround_sum_ns += now - check.requested_at;
+                if check.ok {
+                    passed += 1;
+                    registry.counter("fleet.passed", 1);
+                } else if fleet[check.idx].compromised {
+                    caught[check.idx] = true;
                 }
             }
-            let mut sessions: Vec<SessionPair<'_>> = Vec::new();
-            for ((i, device), (_, verifier)) in devices.iter_mut().zip(checked.iter_mut()) {
-                let sid = (round * config.devices + *i) as u64 + 1;
-                sessions.push(
-                    SessionPair::new(
-                        ProtocolId::MutualAuth,
-                        sid,
-                        Box::new(WireVerifier::new(verifier, sid, SessionConfig::default())),
-                        Box::new(WireDevice::new(device, SessionConfig::default())),
-                    )
-                    // Control-plane class: auth rounds must not be
-                    // starved by bulk inference traffic under a
-                    // class-aware policy.
-                    .with_class(ClassId::CONTROL_AUTH),
-                );
-            }
-            let gw = run_gateway(
-                &mut link,
-                sessions,
-                gateway_cfg.clone(),
-                &mut Tracer::disabled(),
-                registry,
-            );
-            auth_gateway_ticks += gw.ticks;
-            auth_late_frames += gw.late_frames;
-            // Stragglers still in flight when the round's last session
-            // closed surface at the next round as routing noise; drain
-            // and count them instead.
-            auth_late_frames += link.drain_late() as u64;
-            for (outcome, &(i, _)) in gw.outcomes.iter().zip(&devices) {
-                auth_attempted += 1;
-                let ok = outcome.result.is_ok();
-                if ok {
-                    auth_completed += 1;
-                }
-                auth_retransmits += u64::from(outcome.retransmits);
-                // One compact instant per control-link session (the
-                // frame-level story lives in the protocol tracer); the
-                // tick is the horizon so the event log stays monotone
-                // past the event-driven phase.
-                tracer.instant(
-                    horizon,
-                    "auth.session",
-                    vec![
-                        ("device", i.into()),
-                        ("session", (round as u64).into()),
-                        ("ok", ok.into()),
-                        ("retransmits", outcome.retransmits.into()),
-                    ],
-                );
-                registry.counter("fleet.auth_retransmits", u64::from(outcome.retransmits));
-                registry.observe(
-                    "fleet.auth_session_ticks",
-                    f64::from(*outcome.result.as_ref().unwrap_or(&0)),
-                );
-            }
-            for (i, verifier) in checked {
-                // Unreachable error by construction (every commit
-                // follows its own checkout); ignoring it keeps the
-                // phase panic-free.
-                let _ = store.commit(i as u64, verifier);
-            }
         }
-        for &(i, _) in &devices {
-            if let Some(verifier) = store.peek(i as u64) {
-                auth_desync_recoveries += verifier.desync_recoveries();
-            }
-        }
-        crp = store.stats();
-        store.fold_into(registry);
     }
 
-    let planted = fleet.iter().filter(|d| d.compromised).count();
-    FleetReport {
+    // Everything still armed is a verdict past the horizon: requests
+    // issued but not resolved in time.
+    let in_flight = wheel.len();
+    debug_assert_eq!(attestations + in_flight, requests, "request conservation");
+    let mut report = FleetReport {
         devices: config.devices,
         verifiers: config.verifiers,
         requests,
@@ -471,7 +350,7 @@ pub fn run_fleet(config: &FleetConfig, tracer: &mut Tracer, registry: &Registry)
         in_flight_at_horizon: in_flight,
         passed,
         compromised_caught: caught.iter().filter(|&&c| c).count(),
-        compromised_planted: planted,
+        compromised_planted: fleet.iter().filter(|d| d.compromised).count(),
         verifier_utilization: busy_ns as f64 / (horizon.max(1) as f64 * config.verifiers as f64),
         max_backlog,
         mean_turnaround_us: if attestations == 0 {
@@ -479,14 +358,65 @@ pub fn run_fleet(config: &FleetConfig, tracer: &mut Tracer, registry: &Registry)
         } else {
             turnaround_sum_ns as f64 / attestations as f64 / 1000.0
         },
-        auth_attempted,
-        auth_completed,
-        auth_retransmits,
-        auth_desync_recoveries,
-        auth_gateway_ticks,
-        auth_late_frames,
-        crp,
+        ..FleetReport::default()
+    };
+    if config.auth_sessions == 0 {
+        return report;
     }
+
+    // Control-link phase: every device re-authenticates (§III-A)
+    // `auth_sessions` times over *one* shared lossy wire, as a
+    // zero-jitter keep-alive fleet whose epochs are the rounds. The
+    // verifier records live in the sharded CRP store, checked out per
+    // epoch and committed back. The link seed is derived independently
+    // of the scheduling RNG, so the campaign above is unchanged by this
+    // phase.
+    let epochs = u32::try_from(config.auth_sessions).unwrap_or(u32::MAX);
+    let keepalive = run_fleet_persistent(
+        &PersistentFleetConfig {
+            devices: config.devices,
+            reattest_period: AUTH_ROUND_PERIOD,
+            jitter: 0,
+            epochs_per_device: epochs,
+            epoch_budget: 0,
+            max_consecutive_failures: 0,
+            corrupted_devices: 0,
+            loss_rate: config.auth_loss_rate,
+            seed: config.seed,
+            crp_shards: config.crp_shards,
+            crp_hot_capacity: config.crp_hot_capacity,
+            horizon: AUTH_ROUND_PERIOD * (u64::from(epochs) + 2) + 4096.max(devices * 64),
+            ..PersistentFleetConfig::default()
+        },
+        &mut Tracer::disabled(),
+        registry,
+    );
+    let mut records = keepalive.records;
+    records.sort_unstable_by_key(|r| (r.epoch, r.device));
+    for r in &records {
+        report.auth_attempted += 1;
+        report.auth_completed += usize::from(r.ok);
+        report.auth_retransmits += u64::from(r.retransmits);
+        // One compact instant per control-link session (the frame-level
+        // story lives in the protocol tracer); the tick is the horizon
+        // so the event log stays monotone past the campaign.
+        tracer.instant(
+            horizon,
+            "auth.session",
+            vec![
+                ("device", r.device.into()),
+                ("session", u64::from(r.epoch).into()),
+                ("ok", r.ok.into()),
+                ("retransmits", r.retransmits.into()),
+            ],
+        );
+        registry.counter("fleet.auth_retransmits", u64::from(r.retransmits));
+        registry.observe("fleet.auth_session_ticks", f64::from(r.ticks));
+    }
+    report.auth_desync_recoveries = keepalive.desync_recoveries;
+    report.auth_late_frames = keepalive.late_frames;
+    report.crp = keepalive.crp;
+    report
 }
 
 // ---------------------------------------------------------------------------
@@ -495,12 +425,11 @@ pub fn run_fleet(config: &FleetConfig, tracer: &mut Tracer, registry: &Registry)
 
 /// Parameters of a persistent keep-alive fleet run.
 ///
-/// Where [`FleetConfig`] tears every control-link session down and
-/// rebuilds it per round, this model keeps each device resident in the
-/// gateway across its whole lifetime: re-attestation epochs are armed
-/// as per-device jittered timers on the runtime timer wheel, CRP
-/// records are checked out of the sharded store at fire time and
-/// committed back at epoch close, and devices churn through voluntary
+/// Each device stays resident in the gateway across its whole lifetime:
+/// re-attestation epochs are armed as per-device jittered timers on the
+/// runtime timer wheel, CRP records are checked out of the sharded
+/// store at fire time and committed back at epoch close, and devices
+/// churn through voluntary
 /// leaves (epoch quota) and evictions (consecutive failures).
 #[derive(Debug, Clone, Copy)]
 pub struct PersistentFleetConfig {
@@ -753,10 +682,11 @@ impl KeepAlive for PersistentFleetController {
 
 /// Runs the fleet on long-lived persistent sessions.
 ///
-/// Provisioning and the shared lossy link mirror [`run_fleet`]'s
-/// control-link phase exactly (same die ids, memory pattern, seeds and
-/// link-seed derivation), so a zero-jitter persistent run is
-/// step-for-step comparable with a round-by-round sweep — the
+/// This is the fleet's one control-link driver: [`run_fleet`] runs its
+/// authentication rounds through it as a zero-jitter run. A zero-jitter
+/// run is step-for-step comparable with a round-by-round sweep of
+/// one-shot gateway runs over the same provisioning, session ids and
+/// seeded link, up to the sweep's accept-queue depth — the
 /// differential property the `fleet_round_equivalence` tests pin.
 ///
 /// # Panics
@@ -1031,14 +961,13 @@ mod tests {
         assert_eq!(report.auth_attempted, 0);
         assert_eq!(report.auth_completed, 0);
         assert_eq!(report.auth_retransmits, 0);
-        assert_eq!(report.auth_gateway_ticks, 0);
         assert_eq!(report.crp, crate::crp_store::CrpStoreStats::default());
     }
 
     /// The control link is one shared wire: every round multiplexes all
-    /// devices' sessions through the gateway, and the CRP store fronts
-    /// the verifier records — first round all cold misses, later rounds
-    /// hot hits (capacity permitting).
+    /// devices' sessions through the keep-alive gateway, and the CRP
+    /// store fronts the verifier records — first round all cold misses,
+    /// later rounds hot hits (capacity permitting).
     #[test]
     fn shared_control_link_reports_gateway_and_cache_effort() {
         let config = FleetConfig {
@@ -1052,14 +981,13 @@ mod tests {
         let report = run_fleet(&config, &mut Tracer::disabled(), &registry);
         assert_eq!(report.auth_attempted, 12 * 3);
         assert_eq!(report.auth_completed, report.auth_attempted, "{report:?}");
-        assert!(report.auth_gateway_ticks > 0);
         assert_eq!(report.crp.misses, 12, "first touch of each record is cold");
         assert_eq!(report.crp.hits, 24, "rounds 2 and 3 are hot");
         assert_eq!(report.crp.commits, 36);
         assert!((report.crp.hit_rate() - 24.0 / 36.0).abs() < 1e-12);
         assert_eq!(registry.counter_value("crp_store.hits"), report.crp.hits);
         assert_eq!(
-            registry.counter_value("gateway.completed") as usize,
+            registry.counter_value("keepalive.epochs_completed") as usize,
             report.auth_completed
         );
     }
@@ -1130,6 +1058,35 @@ mod tests {
             .filter(|e| e.name == "auth.session")
             .count();
         assert_eq!(auth, traced.auth_attempted);
+    }
+
+    /// A 1 ns period staggers every device at 0 ns. The timer wheel
+    /// clamps deadlines to `now + 1`, so the loop keeps its ticks one
+    /// ahead of simulated time; without that offset the first requests
+    /// would land at 1 ns and each device would lose one request.
+    #[test]
+    fn zero_stagger_fires_at_tick_zero() {
+        let config = FleetConfig {
+            devices: 3,
+            period_us: 0.001,
+            horizon_us: 0.005,
+            auth_sessions: 0,
+            ..FleetConfig::default()
+        };
+        let mut tracer = Tracer::new();
+        let report = run_fleet(&config, &mut tracer, &Registry::new());
+        // Requests at 0, 1, …, 5 ns for each device.
+        assert_eq!(report.requests, 3 * 6, "{report:?}");
+        for device in 0..3usize {
+            let first = tracer
+                .events()
+                .iter()
+                .find(|e| {
+                    e.name == "attest.due" && e.fields.first() == Some(&("device", device.into()))
+                })
+                .map(|e| e.tick);
+            assert_eq!(first, Some(0), "device {device}");
+        }
     }
 
     #[test]
@@ -1216,39 +1173,5 @@ mod tests {
             "{report:?}"
         );
         assert_eq!(report.crp.misses, 6, "first touch of each record is cold");
-    }
-
-    /// Aggregate cross-check against the real round-by-round driver: a
-    /// zero-jitter persistent run and `run_fleet`'s control-link phase
-    /// complete the same sessions with the same retransmission spend
-    /// and desync recoveries over the same seeded link.
-    #[test]
-    fn persistent_fleet_aggregates_match_round_by_round_run_fleet() {
-        let seed = 0x0E0C_AB1E;
-        let persistent = quiet_persistent(&PersistentFleetConfig {
-            devices: 6,
-            reattest_period: 512,
-            jitter: 0,
-            epochs_per_device: 2,
-            epoch_budget: 0,
-            max_consecutive_failures: 0,
-            corrupted_devices: 0,
-            loss_rate: 0.1,
-            seed,
-            horizon: 1 << 14,
-            ..PersistentFleetConfig::default()
-        });
-        let rounds = quiet(&FleetConfig {
-            devices: 6,
-            auth_sessions: 2,
-            auth_loss_rate: 0.1,
-            seed,
-            ..FleetConfig::default()
-        });
-        assert_eq!(persistent.epochs_fired as usize, rounds.auth_attempted);
-        assert_eq!(persistent.epochs_completed as usize, rounds.auth_completed);
-        assert_eq!(persistent.retransmits, rounds.auth_retransmits, "same wire");
-        assert_eq!(persistent.desync_recoveries, rounds.auth_desync_recoveries);
-        assert_eq!(persistent.crp.commits, rounds.crp.commits);
     }
 }

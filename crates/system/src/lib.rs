@@ -38,7 +38,6 @@
 pub mod asm;
 pub mod bus;
 pub mod crp_store;
-pub mod event;
 pub mod fleet;
 pub mod peripherals;
 pub mod riscv;

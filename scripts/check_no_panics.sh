@@ -39,12 +39,14 @@ REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 cd "$REPO_ROOT"
 
 MAX_DISTANCE=10
-# Audited 2026-08: 17 sites, each behind an `// invariant:` proof or a
+# Audited 2026-10: 16 sites, each behind an `// invariant:` proof or a
 # `# Panics` doc contract (mutex poisoning, fixed-size HKDF outputs,
-# peek-then-pop, static memory-map ordering, backlog accounting).
+# static memory-map ordering, backlog accounting). The peek-then-pop
+# site went with the deleted `system::event` queue: the fleet campaign
+# now runs on `rt::sched`'s timer wheel.
 # crates/accel joined the gate with zero sites — the batched inference
 # path ships typed EngineErrors end to end — so the budget holds.
-MAX_PANIC_SITES=17
+MAX_PANIC_SITES=16
 status=0
 site_count=0
 

@@ -217,23 +217,6 @@ proptest! {
     }
 
     #[test]
-    fn event_queue_orders_any_schedule(ticks in prop::collection::vec(0u64..1000, 1..50)) {
-        use neuropuls::system::event::EventQueue;
-        let mut q = EventQueue::new();
-        for (i, &t) in ticks.iter().enumerate() {
-            q.schedule(t, i);
-        }
-        let mut last_tick = 0;
-        let mut popped = 0;
-        while let Some((tick, _)) = q.advance() {
-            prop_assert!(tick >= last_tick, "time went backwards");
-            last_tick = tick;
-            popped += 1;
-        }
-        prop_assert_eq!(popped, ticks.len());
-    }
-
-    #[test]
     fn network_config_codec_roundtrip(widths in prop::collection::vec(1usize..6, 2..5),
                                       seed in any::<u64>()) {
         use neuropuls::accel::config::NetworkConfig;
