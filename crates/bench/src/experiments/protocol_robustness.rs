@@ -18,7 +18,9 @@ use neuropuls_protocols::attestation::{
 };
 use neuropuls_protocols::eke::{run_wire_exchange, EkeParty};
 use neuropuls_protocols::mutual_auth::{run_wire_session, Device, Verifier};
-use neuropuls_protocols::secure_nn::{run_wire_inference, NetworkOwner, SecureAccelerator};
+use neuropuls_protocols::secure_nn::{
+    run_wire_batch_inference, share_accelerator, NetworkOwner, SecureAccelerator,
+};
 use neuropuls_protocols::transport::{FaultRates, FaultyChannel};
 use neuropuls_protocols::wire::SessionConfig;
 use neuropuls_puf::bits::Response;
@@ -178,24 +180,29 @@ fn run_cell(
         _ => {
             let key = [0xE1u8; 32];
             let mut owner = NetworkOwner::new(key, b"e18-owner");
-            let mut accel = SecureAccelerator::new(PhotonicEngine::reference(1), key);
+            let accel =
+                share_accelerator(SecureAccelerator::new(PhotonicEngine::reference(1), key));
             let config = NetworkConfig::mlp(&[4, 4], |_, o, i| if o == i { 1.0 } else { 0.0 });
             let network_blob = owner.cipher_network(&config);
             let input_blob = owner.cipher_input(&[1.0, 0.5, -0.25, 0.0]);
             for s in 0..sessions {
-                let (report, output) = run_wire_inference(
+                // A single inference is a batch of one.
+                let (report, output) = run_wire_batch_inference(
                     &mut channel,
-                    &mut accel,
-                    network_blob.clone(),
-                    input_blob.clone(),
+                    &accel,
+                    Some(network_blob.clone()),
+                    std::slice::from_ref(&input_blob),
                     s as u64,
                     cfg,
                     &mut Tracer::disabled(),
+                    None,
                 );
                 retransmits += u64::from(report.retransmits);
-                let delivered = output
-                    .as_deref()
-                    .is_some_and(|blob| owner.decipher_output(blob).is_ok());
+                let delivered = output.is_some_and(|blobs| {
+                    owner
+                        .decipher_outputs(&blobs)
+                        .is_ok_and(|outputs| outputs.len() == 1)
+                });
                 if report.succeeded() && delivered {
                     completed += 1;
                 }

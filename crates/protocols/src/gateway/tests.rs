@@ -5,7 +5,10 @@ use crate::attestation::{
 use crate::eke::{EkeParty, WireEkeInitiator, WireEkeResponder};
 use crate::error::ProtocolError;
 use crate::mutual_auth::{Device, Verifier, WireDevice, WireVerifier};
-use crate::secure_nn::{NetworkOwner, SecureAccelerator, WireNnClient, WireNnServer};
+use crate::secure_nn::{
+    share_accelerator, NetworkOwner, SecureAccelerator, SharedAccelerator, WireNnBatchClient,
+    WireNnBatchServer,
+};
 use crate::transport::{Channel, FaultRates, FaultyChannel, Side};
 use crate::wire::{Envelope, ProtocolId, SessionConfig};
 use neuropuls_accel::config::NetworkConfig;
@@ -22,7 +25,7 @@ struct Endpoints {
     auth: Vec<(Device<PhotonicPuf>, Verifier)>,
     attest: Vec<(AttestingDevice, AttestationVerifier)>,
     eke: Vec<(EkeParty, EkeParty)>,
-    nn: Vec<(SecureAccelerator, Vec<u8>, Vec<u8>)>,
+    nn: Vec<(SharedAccelerator, Vec<u8>, Vec<u8>)>,
 }
 
 fn endpoints(n: usize, seed: u8) -> Endpoints {
@@ -65,7 +68,8 @@ fn endpoints(n: usize, seed: u8) -> Endpoints {
         .map(|i| {
             let key = [seed ^ i as u8; 32];
             let mut owner = NetworkOwner::new(key, format!("own-{seed}-{i}").as_bytes());
-            let accel = SecureAccelerator::new(PhotonicEngine::reference(1), key);
+            let accel =
+                share_accelerator(SecureAccelerator::new(PhotonicEngine::reference(1), key));
             let config = NetworkConfig::mlp(&[4, 4], |_, o, j| if o == j { 1.0 } else { 0.0 });
             let network = owner.cipher_network(&config);
             let input = owner.cipher_input(&[1.0, 0.5, -0.25, 0.0]);
@@ -112,12 +116,17 @@ fn pairs<'x>(ep: &'x mut Endpoints, cfg: SessionConfig) -> Vec<SessionPair<'x>> 
         ));
         sid += 1;
     }
-    for (accel, network, input) in &mut ep.nn {
+    for (accel, network, input) in &ep.nn {
         out.push(SessionPair::new(
             ProtocolId::SecureNn,
             sid,
-            Box::new(WireNnClient::new(sid, network.clone(), input.clone(), cfg)),
-            Box::new(WireNnServer::new(accel, cfg)),
+            Box::new(WireNnBatchClient::with_load(
+                sid,
+                network.clone(),
+                std::slice::from_ref(input),
+                cfg,
+            )),
+            Box::new(WireNnBatchServer::new(accel.clone(), cfg)),
         ));
         sid += 1;
     }

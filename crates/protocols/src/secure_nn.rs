@@ -280,364 +280,13 @@ impl SecureAccelerator {
 // Wire sessions
 // ---------------------------------------------------------------------------
 
-use crate::transport::{Channel, Transport};
+use crate::transport::Transport;
 use crate::wire::{
-    classify, drive_report, resend_or_wait, Arq, Envelope, Incoming, NextWake, ProtocolId,
-    SecureNnMsg, Session, SessionAction, SessionConfig, SessionReport, DEFAULT_MAX_TICKS,
+    chunk_nn_items, classify, drive_report, resend_or_wait, Arq, Envelope, Incoming, NextWake,
+    NnChunk, ProtocolId, SecureNnMsg, Session, SessionAction, SessionConfig, SessionReport,
+    DEFAULT_MAX_TICKS,
 };
 use neuropuls_rt::codec::ToBytes;
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum NnClientState {
-    Start,
-    AwaitLoadAck,
-    AwaitOutput,
-    Done,
-}
-
-/// The software side of Table I as a wire session: ships the ciphered
-/// network, awaits the load acknowledgement, ships the ciphered input,
-/// awaits the ciphered output. Blobs are prepared/deciphered by the
-/// [`NetworkOwner`] outside the session — the wire layer only ever sees
-/// ciphertext.
-pub struct WireNnClient {
-    session: u64,
-    arq: Arq,
-    state: NnClientState,
-    network_blob: Vec<u8>,
-    input_blob: Vec<u8>,
-    output_blob: Option<Vec<u8>>,
-    last_reject: Option<ProtocolError>,
-}
-
-impl WireNnClient {
-    /// Creates a client session shipping `network_blob` then
-    /// `input_blob` (both already sealed by the [`NetworkOwner`]).
-    pub fn new(
-        session: u64,
-        network_blob: Vec<u8>,
-        input_blob: Vec<u8>,
-        cfg: SessionConfig,
-    ) -> Self {
-        WireNnClient {
-            session,
-            arq: Arq::new(cfg),
-            state: NnClientState::Start,
-            network_blob,
-            input_blob,
-            output_blob: None,
-            last_reject: None,
-        }
-    }
-
-    /// The ciphered output, once the session completed.
-    pub fn output_blob(&self) -> Option<&[u8]> {
-        self.output_blob.as_deref()
-    }
-
-    fn fail_with(&mut self, fallback: ProtocolError) -> ProtocolError {
-        self.last_reject.take().unwrap_or(fallback)
-    }
-
-    fn idle(&mut self) -> Result<SessionAction, ProtocolError> {
-        match self.arq.idle() {
-            Ok(frame) => Ok(resend_or_wait(frame)),
-            Err(e) => Err(self.fail_with(e)),
-        }
-    }
-
-    fn rejected(&mut self, reason: ProtocolError) -> Result<SessionAction, ProtocolError> {
-        self.last_reject = Some(reason);
-        match self.arq.reject() {
-            Ok(frame) => Ok(resend_or_wait(frame)),
-            Err(e) => Err(self.fail_with(e)),
-        }
-    }
-}
-
-impl Session for WireNnClient {
-    fn step(&mut self, incoming: Option<&[u8]>) -> Result<SessionAction, ProtocolError> {
-        match self.state {
-            NnClientState::Start => {
-                let frame = Envelope::pack(
-                    ProtocolId::SecureNn,
-                    self.session,
-                    0,
-                    &SecureNnMsg::Load(self.network_blob.clone()),
-                )
-                .to_bytes();
-                self.arq.sent(&frame);
-                self.state = NnClientState::AwaitLoadAck;
-                Ok(SessionAction::Send(frame))
-            }
-            NnClientState::AwaitLoadAck => {
-                match classify::<SecureNnMsg>(incoming, ProtocolId::SecureNn, Some(self.session), 1)
-                {
-                    Incoming::Msg(_, SecureNnMsg::LoadAck) => {
-                        self.arq.activity();
-                        let frame = Envelope::pack(
-                            ProtocolId::SecureNn,
-                            self.session,
-                            2,
-                            &SecureNnMsg::Execute(self.input_blob.clone()),
-                        )
-                        .to_bytes();
-                        self.arq.sent(&frame);
-                        self.state = NnClientState::AwaitOutput;
-                        Ok(SessionAction::Send(frame))
-                    }
-                    Incoming::Msg(_, SecureNnMsg::Fault(what)) => {
-                        self.arq.activity();
-                        self.rejected(ProtocolError::PeerFault(what))
-                    }
-                    Incoming::Msg(..) => self.idle(),
-                    Incoming::Duplicate => Ok(resend_or_wait(self.arq.duplicate())),
-                    Incoming::Noise => self.idle(),
-                }
-            }
-            NnClientState::AwaitOutput => {
-                match classify::<SecureNnMsg>(incoming, ProtocolId::SecureNn, Some(self.session), 3)
-                {
-                    Incoming::Msg(_, SecureNnMsg::Output(blob)) => {
-                        self.arq.activity();
-                        self.output_blob = Some(blob);
-                        self.state = NnClientState::Done;
-                        Ok(SessionAction::Done)
-                    }
-                    Incoming::Msg(_, SecureNnMsg::Fault(what)) => {
-                        self.arq.activity();
-                        self.rejected(ProtocolError::PeerFault(what))
-                    }
-                    Incoming::Msg(..) => self.idle(),
-                    Incoming::Duplicate => Ok(resend_or_wait(self.arq.duplicate())),
-                    Incoming::Noise => self.idle(),
-                }
-            }
-            NnClientState::Done => Ok(SessionAction::Wait),
-        }
-    }
-
-    fn done(&self) -> bool {
-        self.state == NnClientState::Done
-    }
-
-    fn retransmits(&self) -> u32 {
-        self.arq.retransmits()
-    }
-
-    fn next_wake(&self) -> NextWake {
-        match self.state {
-            NnClientState::Start => NextWake::In(0),
-            NnClientState::AwaitLoadAck | NnClientState::AwaitOutput => {
-                NextWake::In(self.arq.ticks_to_fire())
-            }
-            NnClientState::Done => NextWake::OnFrame,
-        }
-    }
-
-    fn skip_silence(&mut self, ticks: u32) {
-        self.arq.skip(ticks);
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum NnServerState {
-    AwaitLoad,
-    AwaitExecute,
-    Done,
-}
-
-/// The hardware boundary as a wire session: answers `load_network` /
-/// `execute_network` calls, reporting blob rejections as
-/// [`SecureNnMsg::Fault`] frames so the client can retransmit a clean
-/// copy instead of hanging.
-pub struct WireNnServer<'a> {
-    accel: &'a mut SecureAccelerator,
-    session: Option<u64>,
-    arq: Arq,
-    state: NnServerState,
-}
-
-impl<'a> WireNnServer<'a> {
-    /// Wraps `accel` for one wire session; the session id is latched
-    /// from the first load envelope.
-    pub fn new(accel: &'a mut SecureAccelerator, cfg: SessionConfig) -> Self {
-        WireNnServer {
-            accel,
-            session: None,
-            arq: Arq::new(cfg),
-            state: NnServerState::AwaitLoad,
-        }
-    }
-
-    fn fault(&self, session: u64, seq: u32, e: &ProtocolError) -> SessionAction {
-        // Fault frames are transient notices, not ARQ-tracked progress:
-        // the client burns a retry and retransmits its request.
-        SessionAction::Send(
-            Envelope::pack(
-                ProtocolId::SecureNn,
-                session,
-                seq,
-                &SecureNnMsg::Fault(e.to_string()),
-            )
-            .to_bytes(),
-        )
-    }
-
-    fn idle(&mut self) -> Result<SessionAction, ProtocolError> {
-        match self.arq.idle() {
-            Ok(frame) => Ok(resend_or_wait(frame)),
-            Err(e) => Err(e),
-        }
-    }
-}
-
-impl Session for WireNnServer<'_> {
-    fn step(&mut self, incoming: Option<&[u8]>) -> Result<SessionAction, ProtocolError> {
-        match self.state {
-            NnServerState::AwaitLoad => {
-                match classify::<SecureNnMsg>(incoming, ProtocolId::SecureNn, self.session, 0) {
-                    Incoming::Msg(session, SecureNnMsg::Load(blob)) => {
-                        self.arq.activity();
-                        self.session = Some(session);
-                        match self.accel.load_network(&blob) {
-                            Ok(()) => {
-                                let frame = Envelope::pack(
-                                    ProtocolId::SecureNn,
-                                    session,
-                                    1,
-                                    &SecureNnMsg::LoadAck,
-                                )
-                                .to_bytes();
-                                self.arq.sent(&frame);
-                                self.state = NnServerState::AwaitExecute;
-                                Ok(SessionAction::Send(frame))
-                            }
-                            Err(e) => Ok(self.fault(session, 1, &e)),
-                        }
-                    }
-                    Incoming::Msg(..) | Incoming::Duplicate | Incoming::Noise => self.idle(),
-                }
-            }
-            NnServerState::AwaitExecute => {
-                match classify::<SecureNnMsg>(incoming, ProtocolId::SecureNn, self.session, 2) {
-                    Incoming::Msg(session, SecureNnMsg::Execute(blob)) => {
-                        self.arq.activity();
-                        match self.accel.execute_network(&blob) {
-                            Ok(out) => {
-                                let frame = Envelope::pack(
-                                    ProtocolId::SecureNn,
-                                    session,
-                                    3,
-                                    &SecureNnMsg::Output(out),
-                                )
-                                .to_bytes();
-                                self.arq.sent(&frame);
-                                self.state = NnServerState::Done;
-                                Ok(SessionAction::Send(frame))
-                            }
-                            Err(e) => Ok(self.fault(session, 3, &e)),
-                        }
-                    }
-                    Incoming::Msg(..) => self.idle(),
-                    // A retransmitted load: the client missed our ack.
-                    Incoming::Duplicate => Ok(resend_or_wait(self.arq.duplicate())),
-                    Incoming::Noise => self.idle(),
-                }
-            }
-            NnServerState::Done => {
-                // Linger: a retransmitted execute means the client
-                // missed the output — resend the stored frame.
-                match classify::<SecureNnMsg>(incoming, ProtocolId::SecureNn, self.session, 4) {
-                    Incoming::Duplicate => Ok(resend_or_wait(self.arq.duplicate())),
-                    _ => Ok(SessionAction::Wait),
-                }
-            }
-        }
-    }
-
-    fn done(&self) -> bool {
-        self.state == NnServerState::Done
-    }
-
-    fn retransmits(&self) -> u32 {
-        self.arq.retransmits()
-    }
-
-    fn next_wake(&self) -> NextWake {
-        match self.state {
-            NnServerState::AwaitLoad | NnServerState::AwaitExecute => {
-                NextWake::In(self.arq.ticks_to_fire())
-            }
-            NnServerState::Done => NextWake::OnFrame,
-        }
-    }
-
-    fn skip_silence(&mut self, ticks: u32) {
-        self.arq.skip(ticks);
-    }
-}
-
-/// Runs one load+execute round over `channel` (client =
-/// [`Side::A`](crate::transport::Side::A), accelerator =
-/// [`Side::B`](crate::transport::Side::B)), returning the ciphered
-/// output blob alongside the session report. Wire activity is recorded
-/// into `tracer` (pass
-/// [`Tracer::disabled`](neuropuls_rt::trace::Tracer::disabled) for an
-/// untraced run).
-#[allow(clippy::too_many_arguments)]
-pub fn run_wire_inference<T: Transport>(
-    channel: &mut T,
-    accel: &mut SecureAccelerator,
-    network_blob: Vec<u8>,
-    input_blob: Vec<u8>,
-    session_id: u64,
-    cfg: SessionConfig,
-    tracer: &mut neuropuls_rt::trace::Tracer,
-) -> (SessionReport, Option<Vec<u8>>) {
-    let mut client = WireNnClient::new(session_id, network_blob, input_blob, cfg);
-    let mut server = WireNnServer::new(accel, cfg);
-    let report = drive_report(channel, &mut client, &mut server, DEFAULT_MAX_TICKS, tracer);
-    let output = client.output_blob().map(<[u8]>::to_vec);
-    (report, output)
-}
-
-/// Runs one load+execute round over a perfect in-memory channel: the
-/// owner ciphers the network and input, the blobs cross the wire, and
-/// the deciphered output comes back.
-///
-/// # Errors
-///
-/// Propagates the first protocol failure.
-pub fn run_inference(
-    owner: &mut NetworkOwner,
-    accel: &mut SecureAccelerator,
-    config: &NetworkConfig,
-    input: &[f64],
-) -> Result<Vec<f64>, ProtocolError> {
-    let network_blob = owner.cipher_network(config);
-    let input_blob = owner.cipher_input(input);
-    let mut channel = Channel::new();
-    let (report, output) = run_wire_inference(
-        &mut channel,
-        accel,
-        network_blob,
-        input_blob,
-        0,
-        SessionConfig::default(),
-        &mut neuropuls_rt::trace::Tracer::disabled(),
-    );
-    report.result?;
-    let blob = output
-        .ok_or_else(|| ProtocolError::OutOfOrder("session completed without output".into()))?;
-    owner.decipher_output(&blob)
-}
-
-// ---------------------------------------------------------------------------
-// Batched wire sessions
-// ---------------------------------------------------------------------------
-
-use crate::wire::{chunk_nn_items, NnChunk};
 use neuropuls_rt::trace::Registry;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -678,12 +327,15 @@ enum NnBatchClientState {
     Done,
 }
 
-/// The software side of a batched inference call: optionally ships the
+/// The software side of Table I as a wire session: optionally ships the
 /// ciphered network, streams the sealed inputs as versioned chunks
 /// (stop-and-wait, one chunk per ack), then drains the sealed output
-/// chunks. Frames alternate strictly — client frames carry even
-/// sequence numbers, accelerator frames odd ones — so the scalar
-/// session's ARQ and duplicate-recovery machinery applies unchanged.
+/// chunks. A single inference is a batch of one. Frames alternate
+/// strictly — client frames carry even sequence numbers, accelerator
+/// frames odd ones — so the shared stop-and-wait ARQ and its
+/// duplicate recovery apply as in every other wire session. Blobs are
+/// prepared and deciphered by the [`NetworkOwner`] outside the session:
+/// the wire layer only ever sees ciphertext.
 pub struct WireNnBatchClient {
     session: u64,
     arq: Arq,
@@ -910,12 +562,14 @@ enum NnBatchServerState {
 }
 
 /// The hardware boundary serving one batched session against a (possibly
-/// shared) accelerator. Request chunks are stored in index slots —
-/// idempotent under re-delivery — and the batch executes exactly once,
-/// when the final chunk arrives with every slot filled; a faulted
-/// execute leaves the slots intact so the client's retransmission
-/// retries the batch. Per-session inference accounting folds into the
-/// trace [`Registry`] at execute time.
+/// shared) accelerator. Request chunks are stored in arrival order —
+/// stop-and-wait delivers them in index order, a chunk ahead of the
+/// ones received is answered with a fault, and a re-delivered chunk
+/// overwrites its own copy — so memory grows with the chunks received,
+/// never with the `total` a frame claims. The batch executes when the
+/// final chunk arrives; a faulted execute keeps the chunks so the
+/// client's retransmission retries the batch. Per-session inference
+/// accounting folds into the trace [`Registry`] at execute time.
 pub struct WireNnBatchServer<'r> {
     accel: SharedAccelerator,
     metrics: Option<&'r Registry>,
@@ -923,7 +577,8 @@ pub struct WireNnBatchServer<'r> {
     arq: Arq,
     state: NnBatchServerState,
     seq: u32,
-    request_slots: Vec<Option<Vec<Vec<u8>>>>,
+    request_chunks: Vec<Vec<Vec<u8>>>,
+    request_total: Option<u32>,
     response_chunks: Vec<NnChunk>,
     next_response: usize,
 }
@@ -939,7 +594,8 @@ impl<'r> WireNnBatchServer<'r> {
             arq: Arq::new(cfg),
             state: NnBatchServerState::AwaitRequest,
             seq: 0,
-            request_slots: Vec::new(),
+            request_chunks: Vec::new(),
+            request_total: None,
             response_chunks: Vec::new(),
             next_response: 0,
         }
@@ -995,11 +651,7 @@ impl<'r> WireNnBatchServer<'r> {
     }
 
     fn execute(&mut self, session: u64) -> SessionAction {
-        let items: Vec<Vec<u8>> = self
-            .request_slots
-            .iter()
-            .flat_map(|slot| slot.clone().unwrap_or_default())
-            .collect();
+        let items = self.request_chunks.concat();
         let executed = self.accel.borrow_mut().execute_network_batch(&items);
         match executed {
             Ok(outputs) => {
@@ -1039,39 +691,31 @@ impl Session for WireNnBatchServer<'_> {
                     Incoming::Msg(session, SecureNnMsg::ExecuteChunk(chunk)) => {
                         self.arq.activity();
                         self.session = Some(session);
-                        let total = chunk.total as usize;
-                        if total == 0 || chunk.index as usize >= total {
-                            return Ok(self.fault(
-                                session,
-                                &ProtocolError::OutOfOrder(format!(
-                                    "chunk {}/{} out of range",
-                                    chunk.index, chunk.total
-                                )),
-                            ));
+                        let (index, total) = (chunk.index, chunk.total);
+                        let received = self.request_chunks.len();
+                        let refused = match self.request_total {
+                            _ if index >= total => {
+                                Some(format!("chunk {index}/{total} out of range"))
+                            }
+                            Some(latched) if latched != total => {
+                                Some(format!("chunk total changed from {latched} to {total}"))
+                            }
+                            _ if index as usize > received => {
+                                Some(format!("chunk {index} ahead of the {received} received"))
+                            }
+                            _ => None,
+                        };
+                        if let Some(what) = refused {
+                            return Ok(self.fault(session, &ProtocolError::OutOfOrder(what)));
                         }
-                        if self.request_slots.is_empty() {
-                            self.request_slots.resize(total, None);
-                        } else if self.request_slots.len() != total {
-                            return Ok(self.fault(
-                                session,
-                                &ProtocolError::OutOfOrder(format!(
-                                    "chunk total changed from {} to {total}",
-                                    self.request_slots.len()
-                                )),
-                            ));
+                        self.request_total = Some(total);
+                        if let Some(stored) = self.request_chunks.get_mut(index as usize) {
+                            *stored = chunk.items;
+                        } else {
+                            self.request_chunks.push(chunk.items);
                         }
-                        self.request_slots[chunk.index as usize] = Some(chunk.items);
-                        let last = chunk.index as usize + 1 == total;
-                        if !last {
-                            return Ok(
-                                self.reply(session, &SecureNnMsg::ChunkAck { index: chunk.index })
-                            );
-                        }
-                        if self.request_slots.iter().any(Option::is_none) {
-                            return Ok(self.fault(
-                                session,
-                                &ProtocolError::OutOfOrder("batch chunks missing".into()),
-                            ));
+                        if index + 1 < total {
+                            return Ok(self.reply(session, &SecureNnMsg::ChunkAck { index }));
                         }
                         Ok(self.execute(session))
                     }
@@ -1179,7 +823,9 @@ pub fn run_wire_batch_inference<T: Transport>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::Channel;
     use neuropuls_accel::config::NetworkConfig;
+    use neuropuls_rt::codec::FromBytes;
 
     fn identity(width: usize) -> NetworkConfig {
         NetworkConfig::mlp(&[width, width], |_, o, i| if o == i { 1.0 } else { 0.0 })
@@ -1441,6 +1087,64 @@ mod tests {
             "want PeerFault, got {:?}",
             report.result
         );
+    }
+
+    /// Steps `server` with one request chunk at `seq` and decodes its
+    /// reply.
+    fn chunk_reply(server: &mut WireNnBatchServer<'_>, seq: u32, chunk: NnChunk) -> SecureNnMsg {
+        let frame = Envelope::pack(
+            ProtocolId::SecureNn,
+            11,
+            seq,
+            &SecureNnMsg::ExecuteChunk(chunk),
+        )
+        .to_bytes();
+        match server.step(Some(&frame)).unwrap() {
+            SessionAction::Send(reply) => Envelope::from_bytes(&reply).unwrap().open().unwrap(),
+            other => panic!("server did not answer: {other:?}"),
+        }
+    }
+
+    /// Regression: the server used to size its chunk slots from the
+    /// wire-supplied `total`, so one flipped high bit asked for tens of
+    /// gigabytes and aborted the process. A chunk ahead of the chunks
+    /// received is now refused with a fault, whatever `total` it claims.
+    #[test]
+    fn batch_server_refuses_chunks_ahead_of_those_received() {
+        let (_, accel) = setup();
+        let shared = share_accelerator(accel);
+        let item = || vec![vec![0xAB; 64]];
+        for total in [u32::MAX, 0x8000_0001] {
+            let mut server = WireNnBatchServer::new(shared.clone(), SessionConfig::default());
+            let claimed_final = NnChunk {
+                index: total - 1,
+                total,
+                items: item(),
+            };
+            let reply = chunk_reply(&mut server, 0, claimed_final);
+            assert!(matches!(reply, SecureNnMsg::Fault(_)), "{reply:?}");
+            assert!(!server.done());
+        }
+
+        // A first chunk claiming a huge batch is stored on its own; the
+        // next one skipping an index is refused.
+        let mut server = WireNnBatchServer::new(shared, SessionConfig::default());
+        let first = NnChunk {
+            index: 0,
+            total: u32::MAX,
+            items: item(),
+        };
+        let reply = chunk_reply(&mut server, 0, first);
+        assert_eq!(reply, SecureNnMsg::ChunkAck { index: 0 });
+        let skipping = NnChunk {
+            index: 2,
+            total: u32::MAX,
+            items: item(),
+        };
+        let reply = chunk_reply(&mut server, 2, skipping);
+        assert!(matches!(reply, SecureNnMsg::Fault(_)), "{reply:?}");
+        assert!(!server.done());
+        assert_eq!(server.request_chunks.len(), 1);
     }
 
     #[test]

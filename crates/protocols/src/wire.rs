@@ -416,10 +416,6 @@ pub enum SecureNnMsg {
     Load(Vec<u8>),
     /// Accelerator acknowledges a successful load.
     LoadAck,
-    /// `execute_network(ciphered_input)`.
-    Execute(Vec<u8>),
-    /// The ciphered output tensor.
-    Output(Vec<u8>),
     /// The accelerator rejected the call (blob failed authentication or
     /// the engine refused it).
     Fault(String),
@@ -442,10 +438,12 @@ pub enum SecureNnMsg {
     },
 }
 
-/// Version byte prefixed to every batched-inference chunk. Bumping it
-/// lets future encodings coexist with deployed accelerators: an
-/// unknown version is a decode error, while the unversioned scalar
-/// messages (tags 0–4) keep their original byte layout.
+/// Version byte prefixed to every inference chunk (tags 5 and 7).
+/// Bumping it lets future chunk encodings coexist with deployed
+/// accelerators: an unknown version is a decode error. The unversioned
+/// call messages (tags 0, 1 and 4) carry no chunk and keep their byte
+/// layout; tags 2 and 3, the retired single-input `execute_network`
+/// call and its output, no longer decode.
 pub const NN_BATCH_VERSION: u8 = 1;
 
 /// Soft budget in sealed-item bytes for one batched-inference chunk.
@@ -537,14 +535,6 @@ impl ToBytes for SecureNnMsg {
                 out.bytes(blob);
             }
             SecureNnMsg::LoadAck => out.u8(1),
-            SecureNnMsg::Execute(blob) => {
-                out.u8(2);
-                out.bytes(blob);
-            }
-            SecureNnMsg::Output(blob) => {
-                out.u8(3);
-                out.bytes(blob);
-            }
             SecureNnMsg::Fault(what) => {
                 out.u8(4);
                 out.bytes(what.as_bytes());
@@ -574,8 +564,6 @@ impl FromBytes for SecureNnMsg {
         match r.u8()? {
             0 => Ok(SecureNnMsg::Load(r.bytes()?.to_vec())),
             1 => Ok(SecureNnMsg::LoadAck),
-            2 => Ok(SecureNnMsg::Execute(r.bytes()?.to_vec())),
-            3 => Ok(SecureNnMsg::Output(r.bytes()?.to_vec())),
             4 => Ok(SecureNnMsg::Fault(
                 String::from_utf8(r.bytes()?.to_vec())
                     .map_err(|_| CodecError::Invalid("fault message utf-8"))?,
@@ -1246,8 +1234,6 @@ mod tests {
         let msgs = vec![
             SecureNnMsg::Load(vec![1, 2, 3]),
             SecureNnMsg::LoadAck,
-            SecureNnMsg::Execute(vec![4; 60]),
-            SecureNnMsg::Output(Vec::new()),
             SecureNnMsg::Fault("engine refused".into()),
             SecureNnMsg::ExecuteChunk(NnChunk {
                 index: 0,
@@ -1271,8 +1257,9 @@ mod tests {
         }
     }
 
-    /// The scalar tags 0–4 predate batching; their byte layout is what
-    /// deployed peers speak and must never move.
+    /// The unversioned call tags 0, 1 and 4 (load, its ack and the
+    /// fault notice) carry no chunk; their byte layout is what deployed
+    /// peers speak and must never move.
     #[test]
     fn secure_nn_scalar_encoding_is_pinned() {
         // Lengths are little-endian u64 on the wire.
@@ -1282,16 +1269,43 @@ mod tests {
         );
         assert_eq!(encode_payload(&SecureNnMsg::LoadAck), vec![1]);
         assert_eq!(
-            encode_payload(&SecureNnMsg::Execute(vec![0xCC])),
-            vec![2, 1, 0, 0, 0, 0, 0, 0, 0, 0xCC]
-        );
-        assert_eq!(
-            encode_payload(&SecureNnMsg::Output(vec![0xDD])),
-            vec![3, 1, 0, 0, 0, 0, 0, 0, 0, 0xDD]
-        );
-        assert_eq!(
             encode_payload(&SecureNnMsg::Fault("x".into())),
             vec![4, 1, 0, 0, 0, 0, 0, 0, 0, b'x']
+        );
+    }
+
+    /// The chunk tags 5–8 carry every inference; the goldens and the
+    /// benchmark digests depend on this byte layout.
+    #[test]
+    fn secure_nn_chunk_encoding_is_pinned() {
+        let chunk = NnChunk {
+            index: 1,
+            total: 2,
+            items: vec![vec![0xEE]],
+        };
+        #[rustfmt::skip]
+        let body = [
+            NN_BATCH_VERSION,
+            1, 0, 0, 0, // index, u32
+            2, 0, 0, 0, // total, u32
+            1, 0, 0, 0, // item count, u32
+            1, 0, 0, 0, 0, 0, 0, 0, 0xEE, // item: u64 length, bytes
+        ];
+        assert_eq!(
+            encode_payload(&SecureNnMsg::ExecuteChunk(chunk.clone())),
+            [&[5][..], &body].concat()
+        );
+        assert_eq!(
+            encode_payload(&SecureNnMsg::ChunkAck { index: 0x0102_0304 }),
+            vec![6, 4, 3, 2, 1]
+        );
+        assert_eq!(
+            encode_payload(&SecureNnMsg::OutputChunk(chunk)),
+            [&[7][..], &body].concat()
+        );
+        assert_eq!(
+            encode_payload(&SecureNnMsg::OutputAck { index: 7 }),
+            vec![8, 7, 0, 0, 0]
         );
     }
 
@@ -1339,6 +1353,17 @@ mod tests {
         assert!(decode_payload::<AttestationMsg>(&[9]).is_err());
         assert!(decode_payload::<EkeMsg>(&[9]).is_err());
         assert!(decode_payload::<SecureNnMsg>(&[9]).is_err());
+        // The retired single-input execute (tag 2) and output (tag 3)
+        // frames are refused as unknown tags.
+        for legacy in [
+            [2, 1, 0, 0, 0, 0, 0, 0, 0, 0xCC],
+            [3, 1, 0, 0, 0, 0, 0, 0, 0, 0xDD],
+        ] {
+            assert!(matches!(
+                decode_payload::<SecureNnMsg>(&legacy),
+                Err(CodecError::Invalid("secure-nn message tag"))
+            ));
+        }
     }
 
     #[test]

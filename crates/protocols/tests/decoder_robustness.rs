@@ -11,6 +11,11 @@
 //! * **random bytes** — seeded arbitrary buffers fed to every
 //!   [`FromBytes`] impl in the wire vocabulary.
 //!
+//! A session-level sweep then replays the secure-NN client frames,
+//! each single-byte mutation in turn, into a fresh accelerator-side
+//! session: a frame that still decodes must never make it panic or
+//! allocate from a size read off the wire.
+//!
 //! Panic-freedom is the test: any `unwrap`/slice-index escape in a
 //! decoder aborts the suite (`scripts/check_no_panics.sh` bounds the
 //! panic sites that exist; this sweep demonstrates the decoding paths
@@ -27,11 +32,14 @@ use neuropuls_protocols::eke::{run_wire_exchange, EkeConfirm, EkeHello, EkeParty
 use neuropuls_protocols::mutual_auth::{
     run_wire_session, AuthRequest, Device, DeviceAuth, Verifier, VerifierConfirm,
 };
-use neuropuls_protocols::secure_nn::{run_wire_inference, NetworkOwner, SecureAccelerator};
-use neuropuls_protocols::transport::Channel;
+use neuropuls_protocols::secure_nn::{
+    run_wire_batch_inference, share_accelerator, NetworkOwner, SecureAccelerator,
+    SharedAccelerator, WireNnBatchServer,
+};
+use neuropuls_protocols::transport::{Channel, Side};
 use neuropuls_protocols::wire::{
-    decode_payload, AttestationMsg, EkeMsg, Envelope, MutualAuthMsg, NnChunk, SecureNnMsg,
-    SessionConfig,
+    decode_payload, AttestationMsg, EkeMsg, Envelope, MutualAuthMsg, NnChunk, ProtocolId,
+    SecureNnMsg, Session, SessionConfig,
 };
 use neuropuls_puf::bits::Response;
 use neuropuls_puf::photonic::PhotonicPuf;
@@ -101,32 +109,57 @@ fn harvest_frames() -> Vec<Vec<u8>> {
     assert!(report.succeeded(), "{:?}", report.result);
     frames.extend(channel.transcript().iter().map(|(_, f)| f.clone()));
 
-    let mut channel = Channel::new();
-    let key = [0xD3; 32];
-    let mut owner = NetworkOwner::new(key, b"robustness-owner");
-    let mut accel = SecureAccelerator::new(PhotonicEngine::reference(1), key);
-    let net = NetworkConfig::mlp(&[4, 4], |_, o, i| if o == i { 1.0 } else { 0.0 });
-    let network_blob = owner.cipher_network(&net);
-    let input_blob = owner.cipher_input(&[1.0, -0.5, 0.25, 0.0]);
-    let (report, output) = run_wire_inference(
-        &mut channel,
-        &mut accel,
-        network_blob,
-        input_blob,
-        4,
-        cfg,
-        &mut Tracer::disabled(),
-    );
-    assert!(report.succeeded(), "{:?}", report.result);
-    assert!(output.is_some());
-    frames.extend(channel.transcript().iter().map(|(_, f)| f.clone()));
+    frames.extend(secure_nn_transcript().into_iter().map(|(_, f)| f));
 
     assert!(
         frames.len() >= 12,
         "harvest must cover all four protocol scripts, got {} frames",
         frames.len()
     );
+    // The mutation and tag sweeps reach the chunk decoder only through
+    // harvested chunk frames.
+    let nn_msgs: Vec<SecureNnMsg> = frames
+        .iter()
+        .filter_map(|f| Envelope::from_bytes(f).ok())
+        .filter(|e| e.protocol == ProtocolId::SecureNn)
+        .filter_map(|e| e.open().ok())
+        .collect();
+    assert!(nn_msgs
+        .iter()
+        .any(|m| matches!(m, SecureNnMsg::ExecuteChunk(_))));
+    assert!(nn_msgs
+        .iter()
+        .any(|m| matches!(m, SecureNnMsg::OutputChunk(_))));
     frames
+}
+
+const NN_KEY: [u8; 32] = [0xD3; 32];
+
+fn nn_accelerator() -> SharedAccelerator {
+    share_accelerator(SecureAccelerator::new(PhotonicEngine::reference(1), NN_KEY))
+}
+
+/// One lossless secure-NN session — a load and a batch of one — as the
+/// channel saw it, each frame tagged with its sender.
+fn secure_nn_transcript() -> Vec<(Side, Vec<u8>)> {
+    let mut channel = Channel::new();
+    let mut owner = NetworkOwner::new(NN_KEY, b"robustness-owner");
+    let net = NetworkConfig::mlp(&[4, 4], |_, o, i| if o == i { 1.0 } else { 0.0 });
+    let network_blob = owner.cipher_network(&net);
+    let input_blob = owner.cipher_input(&[1.0, -0.5, 0.25, 0.0]);
+    let (report, output) = run_wire_batch_inference(
+        &mut channel,
+        &nn_accelerator(),
+        Some(network_blob),
+        &[input_blob],
+        4,
+        SessionConfig::default(),
+        &mut Tracer::disabled(),
+        None,
+    );
+    assert!(report.succeeded(), "{:?}", report.result);
+    assert_eq!(output.map(|blobs| blobs.len()), Some(1));
+    channel.transcript().to_vec()
 }
 
 /// Feeds `bytes` to every `FromBytes` impl in the wire vocabulary and
@@ -314,4 +347,31 @@ fn seeded_random_bytes_never_panic_any_decoder() {
         accepted_total < 64,
         "{accepted_total} random buffers decoded as valid messages"
     );
+}
+
+#[test]
+fn mutated_client_frames_never_abort_the_accelerator_session() {
+    // Replay the client's frames into a fresh accelerator-side session,
+    // one frame replaced by each single-byte mutation. Mutations that
+    // survive decoding reach the server's chunk bookkeeping with a
+    // corrupted index or total; every step must return.
+    let client: Vec<Vec<u8>> = secure_nn_transcript()
+        .into_iter()
+        .filter(|(side, _)| *side == Side::A)
+        .map(|(_, f)| f)
+        .collect();
+    let accel = nn_accelerator();
+    for (victim, frame) in client.iter().enumerate() {
+        for pos in 0..frame.len() {
+            for mask in [0x01u8, 0x80, 0xFF] {
+                let mut mutated = frame.clone();
+                mutated[pos] ^= mask;
+                let mut server = WireNnBatchServer::new(accel.clone(), SessionConfig::default());
+                for (i, original) in client.iter().enumerate() {
+                    let incoming = if i == victim { &mutated } else { original };
+                    let _ = server.step(Some(incoming));
+                }
+            }
+        }
+    }
 }

@@ -17,7 +17,9 @@ use neuropuls_protocols::attestation::{
 };
 use neuropuls_protocols::eke::{run_wire_exchange, EkeParty};
 use neuropuls_protocols::mutual_auth::{run_wire_session, Device, Verifier};
-use neuropuls_protocols::secure_nn::{run_wire_inference, NetworkOwner, SecureAccelerator};
+use neuropuls_protocols::secure_nn::{
+    run_wire_batch_inference, share_accelerator, NetworkOwner, SecureAccelerator, SharedAccelerator,
+};
 use neuropuls_protocols::transport::{
     Channel, FaultRates, FaultyChannel, MitmVerdict, Side, Transport,
 };
@@ -50,10 +52,10 @@ fn attest_pair(die: u64) -> (AttestingDevice, AttestationVerifier) {
     )
 }
 
-fn nn_blobs() -> (NetworkOwner, SecureAccelerator, Vec<u8>, Vec<u8>) {
+fn nn_blobs() -> (NetworkOwner, SharedAccelerator, Vec<u8>, Vec<u8>) {
     let key = [0x5A; 32];
     let mut owner = NetworkOwner::new(key, b"owner-rng");
-    let accel = SecureAccelerator::new(PhotonicEngine::reference(1), key);
+    let accel = share_accelerator(SecureAccelerator::new(PhotonicEngine::reference(1), key));
     let config = NetworkConfig::mlp(&[4, 4], |_, o, i| if o == i { 1.0 } else { 0.0 });
     let network_blob = owner.cipher_network(&config);
     let input_blob = owner.cipher_input(&[1.0, 0.5, -0.25, 0.0]);
@@ -158,37 +160,40 @@ fn eke_zero_fault_transcript_matches_perfect_channel() {
 
 #[test]
 fn secure_nn_zero_fault_transcript_matches_perfect_channel() {
-    let (owner, mut a1, net, inp) = nn_blobs();
+    let (owner, a1, net, inp) = nn_blobs();
     let mut perfect = Channel::new();
-    let (report, out1) = run_wire_inference(
+    let (report, out1) = run_wire_batch_inference(
         &mut perfect,
-        &mut a1,
-        net.clone(),
-        inp.clone(),
+        &a1,
+        Some(net.clone()),
+        std::slice::from_ref(&inp),
         7,
         SessionConfig::default(),
         &mut Tracer::disabled(),
+        None,
     );
     assert!(report.succeeded());
 
-    let (_, mut a2, _, _) = nn_blobs();
+    let (_, a2, _, _) = nn_blobs();
     let mut faulty = FaultyChannel::new(FaultRates::none(), 99);
-    let (report2, out2) = run_wire_inference(
+    let (report2, out2) = run_wire_batch_inference(
         &mut faulty,
-        &mut a2,
-        net,
-        inp,
+        &a2,
+        Some(net),
+        &[inp],
         7,
         SessionConfig::default(),
         &mut Tracer::disabled(),
+        None,
     );
     assert!(report2.succeeded());
 
     assert_eq!(perfect.transcript(), faulty.transcript());
     assert_eq!(out1, out2);
-    let output = owner.decipher_output(&out1.unwrap()).unwrap();
-    assert_eq!(output.len(), 4);
-    assert!((output[0] - 1.0).abs() < 0.05);
+    let outputs = owner.decipher_outputs(&out1.unwrap()).unwrap();
+    assert_eq!(outputs.len(), 1);
+    assert_eq!(outputs[0].len(), 4);
+    assert!((outputs[0][0] - 1.0).abs() < 0.05);
 }
 
 // ---------------------------------------------------------------------------
@@ -360,19 +365,20 @@ fn all_protocols_complete_under_moderate_loss() {
     assert!(report.succeeded(), "eke: {:?}", report.result);
     assert_eq!(i.session(), r.session());
 
-    let (_, mut accel, net, inp) = nn_blobs();
+    let (_, accel, net, inp) = nn_blobs();
     let mut channel = FaultyChannel::new(FaultRates::loss(0.2), 14);
-    let (report, out) = run_wire_inference(
+    let (report, out) = run_wire_batch_inference(
         &mut channel,
-        &mut accel,
-        net,
-        inp,
+        &accel,
+        Some(net),
+        &[inp],
         1,
         cfg,
         &mut Tracer::disabled(),
+        None,
     );
     assert!(report.succeeded(), "secure nn: {:?}", report.result);
-    assert!(out.is_some());
+    assert_eq!(out.map(|blobs| blobs.len()), Some(1));
 }
 
 #[test]

@@ -186,10 +186,17 @@ impl Default for FleetConfig {
 ///
 /// # Panics
 ///
-/// Panics when `devices` or `verifiers` is zero.
+/// Panics when `devices` or `verifiers` is zero, or when `period_us`
+/// is shorter than 1 ns (simulated time is in whole nanoseconds).
 pub fn run_fleet(config: &FleetConfig, tracer: &mut Tracer, registry: &Registry) -> FleetReport {
     assert!(config.devices > 0, "fleet needs at least one device");
     assert!(config.verifiers > 0, "fleet needs at least one verifier");
+    let period = (config.period_us * 1000.0) as u64;
+    assert!(
+        period >= 1,
+        "fleet period must be at least 1 ns, got {} µs",
+        config.period_us
+    );
     let mut rng = StdRng::seed_from_u64(config.seed);
     let timing = TimingModel::photonic();
 
@@ -227,12 +234,11 @@ pub fn run_fleet(config: &FleetConfig, tracer: &mut Tracer, registry: &Registry)
     // `devices + k` is the verdict of `checks[k]`.
     let mut wheel = TimerWheel::new();
     for i in 0..config.devices {
-        let stagger = rng.gen_range(0..(config.period_us * 1000.0) as u64);
+        let stagger = rng.gen_range(0..period);
         wheel.schedule_at(stagger + 1, i as u64);
     }
 
     let horizon = (config.horizon_us * 1000.0) as u64;
-    let period = (config.period_us * 1000.0) as u64;
     let devices = config.devices as u64;
     let mut checks: Vec<Check> = Vec::new();
     let mut fired: Vec<(u64, u64)> = Vec::new();
@@ -1087,6 +1093,18 @@ mod tests {
                 .map(|e| e.tick);
             assert_eq!(first, Some(0), "device {device}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "fleet period must be at least 1 ns")]
+    fn sub_nanosecond_period_is_refused() {
+        quiet(&FleetConfig {
+            devices: 2,
+            period_us: 0.0004,
+            horizon_us: 0.005,
+            auth_sessions: 0,
+            ..FleetConfig::default()
+        });
     }
 
     #[test]

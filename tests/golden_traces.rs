@@ -32,7 +32,8 @@ use neuropuls_protocols::mutual_auth::{
     run_wire_session, Device, Verifier, WireDevice, WireVerifier,
 };
 use neuropuls_protocols::secure_nn::{
-    run_wire_inference, NetworkOwner, SecureAccelerator, WireNnClient, WireNnServer,
+    run_wire_batch_inference, share_accelerator, NetworkOwner, SecureAccelerator,
+    WireNnBatchClient, WireNnBatchServer,
 };
 use neuropuls_protocols::transport::{FaultRates, FaultyChannel};
 use neuropuls_protocols::wire::{ProtocolId, SessionConfig};
@@ -149,23 +150,24 @@ fn golden_eke_session() {
 fn golden_secure_nn_session() {
     let key = [0x5A; 32];
     let mut owner = NetworkOwner::new(key, b"golden-owner");
-    let mut accel = SecureAccelerator::new(PhotonicEngine::reference(1), key);
+    let accel = share_accelerator(SecureAccelerator::new(PhotonicEngine::reference(1), key));
     let config = NetworkConfig::mlp(&[4, 4], |_, o, i| if o == i { 1.0 } else { 0.0 });
     let network_blob = owner.cipher_network(&config);
     let input_blob = owner.cipher_input(&[1.0, 0.5, -0.25, 0.0]);
     let mut channel = lossy(0x601D_0004);
     let mut tracer = Tracer::new();
-    let (report, output) = run_wire_inference(
+    let (report, output) = run_wire_batch_inference(
         &mut channel,
-        &mut accel,
-        network_blob,
-        input_blob,
+        &accel,
+        Some(network_blob),
+        &[input_blob],
         1,
         SessionConfig::default(),
         &mut tracer,
+        None,
     );
     assert!(report.succeeded(), "{:?}", report.result);
-    assert!(output.is_some());
+    assert_eq!(output.map(|blobs| blobs.len()), Some(1));
     check_golden("secure_nn", &tracer.to_jsonl());
 }
 
@@ -248,7 +250,7 @@ fn golden_gateway_mixed_session() {
 
     let key = [0x3C; 32];
     let mut owner = NetworkOwner::new(key, b"golden-gateway-owner");
-    let mut accel = SecureAccelerator::new(PhotonicEngine::reference(1), key);
+    let accel = share_accelerator(SecureAccelerator::new(PhotonicEngine::reference(1), key));
     let net = NetworkConfig::mlp(&[4, 4], |_, o, i| if o == i { 1.0 } else { 0.0 });
     let network_blob = owner.cipher_network(&net);
     let input_blob = owner.cipher_input(&[0.75, -0.5, 0.25, 1.0]);
@@ -275,8 +277,13 @@ fn golden_gateway_mixed_session() {
         SessionPair::new(
             ProtocolId::SecureNn,
             4,
-            Box::new(WireNnClient::new(4, network_blob, input_blob, cfg)),
-            Box::new(WireNnServer::new(&mut accel, cfg)),
+            Box::new(WireNnBatchClient::with_load(
+                4,
+                network_blob,
+                &[input_blob],
+                cfg,
+            )),
+            Box::new(WireNnBatchServer::new(accel, cfg)),
         ),
     ];
 
@@ -325,7 +332,7 @@ fn golden_gateway_wfq() {
 
     let key = [0x69; 32];
     let mut owner = NetworkOwner::new(key, b"golden-wfq-owner");
-    let mut accel = SecureAccelerator::new(PhotonicEngine::reference(1), key);
+    let accel = share_accelerator(SecureAccelerator::new(PhotonicEngine::reference(1), key));
     let net = NetworkConfig::mlp(&[4, 4], |_, o, i| if o == i { 1.0 } else { 0.0 });
     let network_blob = owner.cipher_network(&net);
     let input_blob = owner.cipher_input(&[0.5, 1.0, -0.75, 0.25]);
@@ -355,8 +362,13 @@ fn golden_gateway_wfq() {
         SessionPair::new(
             ProtocolId::SecureNn,
             4,
-            Box::new(WireNnClient::new(4, network_blob, input_blob, cfg)),
-            Box::new(WireNnServer::new(&mut accel, cfg)),
+            Box::new(WireNnBatchClient::with_load(
+                4,
+                network_blob,
+                &[input_blob],
+                cfg,
+            )),
+            Box::new(WireNnBatchServer::new(accel, cfg)),
         )
         .with_class(ClassId::INFERENCE),
     ];
