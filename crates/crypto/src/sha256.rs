@@ -89,36 +89,33 @@ impl Sha256 {
             self.buffered += take;
             rest = &rest[take..];
             if self.buffered == BLOCK_LEN {
-                let block = self.buffer;
-                self.compress(&block);
+                compress(&mut self.state, &self.buffer);
                 self.buffered = 0;
             }
         }
-        while rest.len() >= BLOCK_LEN {
-            let (block, tail) = rest.split_at(BLOCK_LEN);
-            let mut arr = [0u8; BLOCK_LEN];
-            arr.copy_from_slice(block);
-            self.compress(&arr);
-            rest = tail;
-        }
-        if !rest.is_empty() {
-            self.buffer[..rest.len()].copy_from_slice(rest);
-            self.buffered = rest.len();
+        let whole = rest.len() - rest.len() % BLOCK_LEN;
+        let (blocks, tail) = rest.split_at(whole);
+        compress(&mut self.state, blocks);
+        if !tail.is_empty() {
+            self.buffer[..tail.len()].copy_from_slice(tail);
+            self.buffered = tail.len();
         }
     }
 
     /// Finishes the computation and returns the digest.
     pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
-        let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 64-bit big-endian length.
-        self.update(&[0x80]);
-        while self.buffered != 56 {
-            self.update(&[0x00]);
+        // Padding: 0x80, zeros, 64-bit big-endian length; a buffer with
+        // no room for the length spills into one more block.
+        let length_at = BLOCK_LEN - 8;
+        self.buffer[self.buffered] = 0x80;
+        self.buffer[self.buffered + 1..].fill(0);
+        if self.buffered >= length_at {
+            compress(&mut self.state, &self.buffer);
+            self.buffer.fill(0);
         }
-        // `update` would re-count the length bytes, so splice them manually.
-        self.buffer[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buffer;
-        self.compress(&block);
+        let bit_len = self.total_len.wrapping_mul(8);
+        self.buffer[length_at..].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.state, &self.buffer);
 
         let mut out = [0u8; DIGEST_LEN];
         for (chunk, word) in out.chunks_exact_mut(4).zip(self.state.iter()) {
@@ -126,8 +123,38 @@ impl Sha256 {
         }
         out
     }
+}
 
-    fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
+/// Compresses every whole 64-byte block of `blocks` into `state`, with
+/// the SHA-NI build when the CPU has it and the scalar one otherwise.
+/// Both are bit-identical; the scalar build is the test oracle.
+fn compress(state: &mut [u32; 8], blocks: &[u8]) {
+    #[cfg(test)]
+    if let Some(forced) = tests::FORCED.with(std::cell::Cell::get) {
+        return forced(state, blocks);
+    }
+    #[cfg(target_arch = "x86_64")]
+    if has_sha_ni() {
+        // SAFETY: `compress_sha_ni` only requires the CPU to support the
+        // SHA, SSE2, SSSE3 and SSE4.1 extensions, all just detected.
+        return unsafe { compress_sha_ni(state, blocks) };
+    }
+    compress_scalar(state, blocks);
+}
+
+/// Whether the CPU runs [`compress_sha_ni`].
+#[cfg(target_arch = "x86_64")]
+fn has_sha_ni() -> bool {
+    use std::arch::is_x86_feature_detected;
+    is_x86_feature_detected!("sha")
+        && is_x86_feature_detected!("sse2")
+        && is_x86_feature_detected!("ssse3")
+        && is_x86_feature_detected!("sse4.1")
+}
+
+/// The FIPS 180-4 compression function, one block at a time.
+fn compress_scalar(state: &mut [u32; 8], blocks: &[u8]) {
+    for block in blocks.chunks_exact(BLOCK_LEN) {
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -141,7 +168,7 @@ impl Sha256 {
                 .wrapping_add(s1);
         }
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
@@ -163,57 +190,173 @@ impl Sha256 {
             a = t1.wrapping_add(t2);
         }
 
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for (word, add) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *word = word.wrapping_add(add);
+        }
+    }
+}
+
+/// The compression function on the x86 SHA extensions: each
+/// `sha256rnds2` runs two rounds on the state held as the `ABEF` and
+/// `CDGH` register pair, and `sha256msg1`/`sha256msg2` extend the
+/// message schedule four words at a time.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+fn compress_sha_ni(state: &mut [u32; 8], blocks: &[u8]) {
+    use std::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_blend_epi16, _mm_loadu_si128, _mm_set_epi64x,
+        _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32,
+        _mm_shuffle_epi8, _mm_storeu_si128,
+    };
+
+    // Byte-swaps each 32-bit lane: the message words are big-endian.
+    let be_words = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+    let words: *mut __m128i = state.as_mut_ptr().cast();
+    // SAFETY: `state` is 32 bytes, exactly two unaligned 16-byte loads.
+    let (dcba, hgfe) = unsafe { (_mm_loadu_si128(words), _mm_loadu_si128(words.add(1))) };
+    let cdab = _mm_shuffle_epi32(dcba, 0xb1);
+    let efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+    let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
+    let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+
+    for block in blocks.chunks_exact(BLOCK_LEN) {
+        let (abef_in, cdgh_in) = (abef, cdgh);
+        let bytes: *const __m128i = block.as_ptr().cast();
+        // SAFETY: `block` is 64 bytes, exactly four unaligned 16-byte
+        // loads.
+        let mut w = unsafe {
+            [
+                _mm_loadu_si128(bytes),
+                _mm_loadu_si128(bytes.add(1)),
+                _mm_loadu_si128(bytes.add(2)),
+                _mm_loadu_si128(bytes.add(3)),
+            ]
+        };
+        for word in &mut w {
+            *word = _mm_shuffle_epi8(*word, be_words);
+        }
+        for i in 0..16 {
+            if i >= 4 {
+                // W[4i..4i+4] from the sixteen words before them, held
+                // oldest-first from slot i % 4.
+                let t = _mm_sha256msg1_epu32(w[i % 4], w[(i + 1) % 4]);
+                let t = _mm_add_epi32(t, _mm_alignr_epi8(w[(i + 3) % 4], w[(i + 2) % 4], 4));
+                w[i % 4] = _mm_sha256msg2_epu32(t, w[(i + 3) % 4]);
+            }
+            // SAFETY: i < 16, so K[4i..4i + 4] is in bounds.
+            let k = unsafe { _mm_loadu_si128(K.as_ptr().add(4 * i).cast()) };
+            let wk = _mm_add_epi32(w[i % 4], k);
+            cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+            abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+        }
+        abef = _mm_add_epi32(abef, abef_in);
+        cdgh = _mm_add_epi32(cdgh, cdgh_in);
+    }
+
+    let feba = _mm_shuffle_epi32(abef, 0x1b);
+    let dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+    let dcba = _mm_blend_epi16(feba, dchg, 0xf0);
+    let hgef = _mm_alignr_epi8(dchg, feba, 8);
+    // SAFETY: as for the loads above: two 16-byte stores into 32 bytes.
+    unsafe {
+        _mm_storeu_si128(words, dcba);
+        _mm_storeu_si128(words.add(1), hgef);
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use neuropuls_rt::rngs::SmallRng;
+    use neuropuls_rt::{Rng, RngCore, SeedableRng};
+    use std::cell::Cell;
+
+    type Compress = fn(&mut [u32; 8], &[u8]);
+
+    thread_local! {
+        /// A compression build every `Sha256` on this thread uses instead
+        /// of the dispatcher, so the vectors of the modules built on top
+        /// reach each build.
+        pub(super) static FORCED: Cell<Option<Compress>> = const { Cell::new(None) };
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    fn sha_ni(state: &mut [u32; 8], blocks: &[u8]) {
+        assert!(has_sha_ni());
+        // SAFETY: the CPU features were asserted on the line above.
+        unsafe { compress_sha_ni(state, blocks) }
+    }
+
+    /// The SHA-NI build, when this host can run it.
+    fn sha_ni_build() -> Option<Compress> {
+        #[cfg(target_arch = "x86_64")]
+        if has_sha_ni() {
+            return Some(sha_ni);
+        }
+        None
+    }
+
+    /// Runs `check` once per compression build this host can run: the
+    /// dispatcher, the scalar oracle called directly, and SHA-NI when
+    /// the CPU has it.
+    pub(crate) fn for_each_compression(check: impl Fn(&str)) {
+        let mut builds: Vec<(&str, Option<Compress>)> =
+            vec![("dispatch", None), ("scalar", Some(compress_scalar))];
+        if let Some(f) = sha_ni_build() {
+            builds.push(("sha-ni", Some(f)));
+        }
+        for (name, build) in builds {
+            FORCED.with(|forced| forced.set(build));
+            check(name);
+            FORCED.with(|forced| forced.set(None));
+        }
+    }
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
+    fn check_vector(data: &[u8], want: &str) {
+        for_each_compression(|build| {
+            assert_eq!(hex(&Sha256::digest(data)), want, "{build}");
+            let mut hasher = Sha256::new();
+            for byte in data.iter().take(130) {
+                hasher.update(std::slice::from_ref(byte));
+            }
+            hasher.update(&data[data.len().min(130)..]);
+            assert_eq!(hex(&hasher.finalize()), want, "{build}, bytewise");
+        });
+    }
+
     #[test]
     fn empty_vector() {
-        assert_eq!(
-            hex(&Sha256::digest(b"")),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+        check_vector(
+            b"",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         );
     }
 
     #[test]
     fn abc_vector() {
-        assert_eq!(
-            hex(&Sha256::digest(b"abc")),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+        check_vector(
+            b"abc",
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
         );
     }
 
     #[test]
     fn two_block_vector() {
-        assert_eq!(
-            hex(&Sha256::digest(
-                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
-            )),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+        check_vector(
+            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
         );
     }
 
     #[test]
     fn million_a() {
-        let data = vec![b'a'; 1_000_000];
-        assert_eq!(
-            hex(&Sha256::digest(&data)),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+        check_vector(
+            &vec![b'a'; 1_000_000],
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
         );
     }
 
@@ -235,5 +378,71 @@ mod tests {
         let mut concat = a.to_vec();
         concat.extend_from_slice(b);
         assert_eq!(Sha256::digest_parts(&[a, b]), Sha256::digest(&concat));
+    }
+
+    /// FIPS 180-4 padding, spelled out, over `compress` called directly.
+    fn padded_digest(compress: Compress, data: &[u8]) -> [u8; DIGEST_LEN] {
+        let mut padded = data.to_vec();
+        padded.push(0x80);
+        while padded.len() % BLOCK_LEN != BLOCK_LEN - 8 {
+            padded.push(0);
+        }
+        padded.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let mut state = H0;
+        compress(&mut state, &padded);
+        let mut out = [0u8; DIGEST_LEN];
+        for (chunk, word) in out.chunks_exact_mut(4).zip(state) {
+            chunk.copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn padding_matches_spelled_out_padding_at_every_length() {
+        let data: Vec<u8> = (0..=255u8).cycle().take(3 * BLOCK_LEN).collect();
+        for len in 0..=data.len() {
+            let want = padded_digest(compress_scalar, &data[..len]);
+            assert_eq!(Sha256::digest(&data[..len]), want, "length {len}");
+        }
+    }
+
+    /// Scalar against SHA-NI on random states and multi-block inputs,
+    /// and on whole digests of random lengths fed in random pieces, so
+    /// every offset of a block boundary is crossed.
+    #[test]
+    fn sha_ni_matches_scalar_on_random_inputs() {
+        let Some(sha_ni) = sha_ni_build() else {
+            println!("note: this CPU lacks the SHA extensions; the SHA-NI half is skipped");
+            return;
+        };
+        let cases = if cfg!(debug_assertions) {
+            20_000
+        } else {
+            1_000_000
+        };
+        let mut rng = SmallRng::seed_from_u64(0x5EED_5A25);
+        let mut data = vec![0u8; 4 * BLOCK_LEN];
+        for case in 0..cases {
+            let len = rng.gen_range(0..=data.len());
+            rng.fill_bytes(&mut data[..len]);
+            if case % 2 == 0 {
+                let mut state: [u32; 8] = std::array::from_fn(|_| rng.next_u32());
+                let mut twin = state;
+                let whole = len - len % BLOCK_LEN;
+                compress_scalar(&mut state, &data[..whole]);
+                sha_ni(&mut twin, &data[..whole]);
+                assert_eq!(state, twin, "case {case}: {whole} bytes");
+            } else {
+                let split = rng.gen_range(0..=len);
+                let mut hasher = Sha256::new();
+                FORCED.with(|forced| forced.set(Some(sha_ni)));
+                hasher.update(&data[..split]);
+                hasher.update(&data[split..len]);
+                let got = hasher.finalize();
+                FORCED.with(|forced| forced.set(None));
+                let want = padded_digest(compress_scalar, &data[..len]);
+                assert_eq!(got, want, "case {case}: {len} bytes split at {split}");
+            }
+        }
     }
 }

@@ -27,63 +27,79 @@ use neuropuls_crypto::hkdf;
 use neuropuls_crypto::hmac::{HmacSha256, TAG_LEN};
 use neuropuls_crypto::prng::CsPrng;
 use neuropuls_rt::RngCore;
+use std::fmt;
 
-fn subkeys(device_key: &[u8; 32], label: &[u8]) -> ([u8; 32], [u8; 32]) {
-    let mut enc = [0u8; 32];
-    let mut mac = [0u8; 32];
-    // invariant: hkdf::derive only errors past 255 output blocks; a
-    // 32-byte request is one block.
-    hkdf::derive(
-        b"neuropuls/secure-nn",
-        device_key,
-        &[label, b"/enc"].concat(),
-        &mut enc,
-    )
-    .expect("32-byte HKDF output is valid");
-    // invariant: same single-block 32-byte request as above.
-    hkdf::derive(
-        b"neuropuls/secure-nn",
-        device_key,
-        &[label, b"/mac"].concat(),
-        &mut mac,
-    )
-    .expect("32-byte HKDF output is valid");
-    (enc, mac)
+/// The encrypt-then-MAC keys of one direction label: the ChaCha20 key
+/// and the HMAC keyed on the MAC key, both derived once from the device
+/// key.
+#[derive(Clone)]
+struct LabelKeys {
+    enc: [u8; 32],
+    mac: HmacSha256,
 }
 
-/// Seals `plaintext` under `device_key` with a direction `label`.
-fn seal(device_key: &[u8; 32], label: &[u8], plaintext: &[u8], rng: &mut CsPrng) -> Vec<u8> {
-    let (enc_key, mac_key) = subkeys(device_key, label);
-    let mut nonce = [0u8; NONCE_LEN];
-    rng.fill_bytes(&mut nonce);
-    let mut body = plaintext.to_vec();
-    ChaCha20::new(&enc_key, &nonce).apply(&mut body);
-    let mut out = Vec::with_capacity(NONCE_LEN + body.len() + TAG_LEN);
-    out.extend_from_slice(&nonce);
-    out.extend_from_slice(&body);
-    let tag = HmacSha256::mac(&mac_key, &out);
-    out.extend_from_slice(&tag);
-    out
-}
-
-/// Opens a sealed blob.
-fn open(device_key: &[u8; 32], label: &[u8], blob: &[u8]) -> Result<Vec<u8>, ProtocolError> {
-    if blob.len() < NONCE_LEN + TAG_LEN {
-        return Err(ProtocolError::MalformedCiphertext(format!(
-            "blob of {} bytes is shorter than nonce+tag",
-            blob.len()
-        )));
+impl LabelKeys {
+    fn derive(device_key: &[u8; 32], label: &[u8]) -> Self {
+        let (enc, mac) = subkeys(device_key, label);
+        LabelKeys {
+            enc,
+            mac: HmacSha256::new(&mac),
+        }
     }
-    let (enc_key, mac_key) = subkeys(device_key, label);
-    let (body, tag) = blob.split_at(blob.len() - TAG_LEN);
-    HmacSha256::verify(&mac_key, body, tag)
-        .map_err(|_| ProtocolError::AuthenticationFailed("ciphertext tag invalid".into()))?;
-    // invariant: the length guard above rejected blobs shorter than
-    // NONCE_LEN + TAG_LEN, so this slice is exactly NONCE_LEN bytes.
-    let nonce: [u8; NONCE_LEN] = body[..NONCE_LEN].try_into().expect("length checked");
-    let mut plaintext = body[NONCE_LEN..].to_vec();
-    ChaCha20::new(&enc_key, &nonce).apply(&mut plaintext);
-    Ok(plaintext)
+
+    /// Seals `plaintext` as `nonce ‖ ciphertext ‖ tag`.
+    fn seal(&self, plaintext: &[u8], rng: &mut CsPrng) -> Vec<u8> {
+        let mut nonce = [0u8; NONCE_LEN];
+        rng.fill_bytes(&mut nonce);
+        let mut out = Vec::with_capacity(NONCE_LEN + plaintext.len() + TAG_LEN);
+        out.extend_from_slice(&nonce);
+        out.extend_from_slice(plaintext);
+        ChaCha20::new(&self.enc, &nonce).apply(&mut out[NONCE_LEN..]);
+        let mut mac = self.mac.clone();
+        mac.update(&out);
+        let tag = mac.finalize();
+        out.extend_from_slice(&tag);
+        out
+    }
+
+    /// Opens a sealed blob.
+    fn open(&self, blob: &[u8]) -> Result<Vec<u8>, ProtocolError> {
+        if blob.len() < NONCE_LEN + TAG_LEN {
+            return Err(ProtocolError::MalformedCiphertext(format!(
+                "blob of {} bytes is shorter than nonce+tag",
+                blob.len()
+            )));
+        }
+        let (body, tag) = blob.split_at(blob.len() - TAG_LEN);
+        let mut mac = self.mac.clone();
+        mac.update(body);
+        mac.verify_tag(tag)
+            .map_err(|_| ProtocolError::AuthenticationFailed("ciphertext tag invalid".into()))?;
+        // invariant: the length guard above rejected blobs shorter than
+        // NONCE_LEN + TAG_LEN, so this slice is exactly NONCE_LEN bytes.
+        let nonce: [u8; NONCE_LEN] = body[..NONCE_LEN].try_into().expect("length checked");
+        let mut plaintext = body[NONCE_LEN..].to_vec();
+        ChaCha20::new(&self.enc, &nonce).apply(&mut plaintext);
+        Ok(plaintext)
+    }
+}
+
+/// The keys of all three direction labels. Both endpoints hold these
+/// instead of the device key.
+struct SealKeys {
+    network: LabelKeys,
+    input: LabelKeys,
+    output: LabelKeys,
+}
+
+impl SealKeys {
+    fn derive(device_key: &[u8; 32]) -> Self {
+        SealKeys {
+            network: LabelKeys::derive(device_key, LABEL_NETWORK),
+            input: LabelKeys::derive(device_key, LABEL_INPUT),
+            output: LabelKeys::derive(device_key, LABEL_OUTPUT),
+        }
+    }
 }
 
 fn encode_values(values: &[f64]) -> Vec<u8> {
@@ -121,29 +137,35 @@ const LABEL_OUTPUT: &[u8] = b"output";
 /// The external party (NN owner) that prepares ciphered payloads and
 /// reads ciphered outputs. Shares the device key through the enrollment
 /// channel.
-#[derive(Debug)]
 pub struct NetworkOwner {
-    key: [u8; 32],
+    keys: SealKeys,
     rng: CsPrng,
+}
+
+impl fmt::Debug for NetworkOwner {
+    /// Shows no key material.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("NetworkOwner").finish_non_exhaustive()
+    }
 }
 
 impl NetworkOwner {
     /// Creates the owner-side endpoint.
     pub fn new(device_key: [u8; 32], rng_seed: &[u8]) -> Self {
         NetworkOwner {
-            key: device_key,
+            keys: SealKeys::derive(&device_key),
             rng: CsPrng::from_seed_bytes(rng_seed),
         }
     }
 
     /// Encrypts a network configuration for `load_network`.
     pub fn cipher_network(&mut self, config: &NetworkConfig) -> Vec<u8> {
-        seal(&self.key, LABEL_NETWORK, &config.to_bytes(), &mut self.rng)
+        self.keys.network.seal(&config.to_bytes(), &mut self.rng)
     }
 
     /// Encrypts an input tensor for `execute_network`.
     pub fn cipher_input(&mut self, input: &[f64]) -> Vec<u8> {
-        seal(&self.key, LABEL_INPUT, &encode_values(input), &mut self.rng)
+        self.keys.input.seal(&encode_values(input), &mut self.rng)
     }
 
     /// Decrypts a ciphered output.
@@ -152,7 +174,7 @@ impl NetworkOwner {
     ///
     /// Fails on tampered or malformed blobs.
     pub fn decipher_output(&self, ciphered: &[u8]) -> Result<Vec<f64>, ProtocolError> {
-        decode_values(&open(&self.key, LABEL_OUTPUT, ciphered)?)
+        decode_values(&self.keys.output.open(ciphered)?)
     }
 
     /// Encrypts a batch of input tensors for `execute_network_batch`.
@@ -176,24 +198,34 @@ impl NetworkOwner {
     }
 }
 
-/// The hardware boundary: accelerator plus the PUF-derived key. The two
-/// public methods are exactly Table I.
-#[derive(Debug)]
+/// The hardware boundary: accelerator plus the keys derived from the
+/// PUF-derived device key. The two public methods are exactly Table I.
 pub struct SecureAccelerator {
     engine: PhotonicEngine,
-    key: [u8; 32],
+    keys: SealKeys,
     rng: CsPrng,
+}
+
+impl fmt::Debug for SecureAccelerator {
+    /// Shows only what [`is_loaded`](Self::is_loaded) and
+    /// [`stats`](Self::stats) already expose: neither the keys nor the
+    /// programmed network leave the hardware boundary.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SecureAccelerator")
+            .field("loaded", &self.is_loaded())
+            .field("stats", &self.stats())
+            .finish_non_exhaustive()
+    }
 }
 
 impl SecureAccelerator {
     /// Builds the secure accelerator around an engine and the device key
     /// reproduced from the weak PUF.
     pub fn new(engine: PhotonicEngine, device_key: [u8; 32]) -> Self {
-        let rng = CsPrng::from_seed_bytes(&device_key);
         SecureAccelerator {
             engine,
-            key: device_key,
-            rng,
+            keys: SealKeys::derive(&device_key),
+            rng: CsPrng::from_seed_bytes(&device_key),
         }
     }
 
@@ -204,7 +236,7 @@ impl SecureAccelerator {
     ///
     /// Authentication/parse failures, or engine load errors.
     pub fn load_network(&mut self, ciphered_network: &[u8]) -> Result<(), ProtocolError> {
-        let plaintext = open(&self.key, LABEL_NETWORK, ciphered_network)?;
+        let plaintext = self.keys.network.open(ciphered_network)?;
         let config = NetworkConfig::from_bytes(&plaintext)
             .map_err(|e| ProtocolError::MalformedCiphertext(e.to_string()))?;
         self.engine
@@ -221,18 +253,16 @@ impl SecureAccelerator {
     ///
     /// Authentication/parse failures, or engine inference errors.
     pub fn execute_network(&mut self, ciphered_input: &[u8]) -> Result<Vec<u8>, ProtocolError> {
-        let plaintext = open(&self.key, LABEL_INPUT, ciphered_input)?;
+        let plaintext = self.keys.input.open(ciphered_input)?;
         let input = decode_values(&plaintext)?;
         let output = self
             .engine
             .infer(&input)
             .map_err(|e| ProtocolError::MalformedCiphertext(e.to_string()))?;
-        Ok(seal(
-            &self.key,
-            LABEL_OUTPUT,
-            &encode_values(&output),
-            &mut self.rng,
-        ))
+        Ok(self
+            .keys
+            .output
+            .seal(&encode_values(&output), &mut self.rng))
     }
 
     /// Batched `execute_network`: decrypts every input, runs one
@@ -252,7 +282,7 @@ impl SecureAccelerator {
     ) -> Result<Vec<Vec<u8>>, ProtocolError> {
         let mut inputs = Vec::with_capacity(ciphered_inputs.len());
         for blob in ciphered_inputs {
-            let plaintext = open(&self.key, LABEL_INPUT, blob)?;
+            let plaintext = self.keys.input.open(blob)?;
             inputs.push(decode_values(&plaintext)?);
         }
         let outputs = self
@@ -261,7 +291,7 @@ impl SecureAccelerator {
             .map_err(|e| ProtocolError::MalformedCiphertext(e.to_string()))?;
         Ok(outputs
             .iter()
-            .map(|o| seal(&self.key, LABEL_OUTPUT, &encode_values(o), &mut self.rng))
+            .map(|o| self.keys.output.seal(&encode_values(o), &mut self.rng))
             .collect())
     }
 
@@ -820,12 +850,177 @@ pub fn run_wire_batch_inference<T: Transport>(
     (report, output)
 }
 
+// ---------------------------------------------------------------------------
+// Key derivation
+// ---------------------------------------------------------------------------
+
+// Kept last among the non-test items: its test-only derivation counter
+// is a `#[cfg(test)]` line, and `scripts/check_no_panics.sh` stops
+// reading a file at the first one.
+fn subkeys(device_key: &[u8; 32], label: &[u8]) -> ([u8; 32], [u8; 32]) {
+    let mut enc = [0u8; 32];
+    let mut mac = [0u8; 32];
+    // invariant: hkdf::derive only errors past 255 output blocks; a
+    // 32-byte request is one block.
+    hkdf::derive(
+        b"neuropuls/secure-nn",
+        device_key,
+        &[label, b"/enc"].concat(),
+        &mut enc,
+    )
+    .expect("32-byte HKDF output is valid");
+    // invariant: same single-block 32-byte request as above.
+    hkdf::derive(
+        b"neuropuls/secure-nn",
+        device_key,
+        &[label, b"/mac"].concat(),
+        &mut mac,
+    )
+    .expect("32-byte HKDF output is valid");
+    #[cfg(test)]
+    tests::SUBKEY_DERIVATIONS.with(|n| n.set(n.get() + 1));
+    (enc, mac)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::transport::Channel;
     use neuropuls_accel::config::NetworkConfig;
     use neuropuls_rt::codec::FromBytes;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Calls of [`subkeys`] on this thread.
+        pub(super) static SUBKEY_DERIVATIONS: Cell<u32> = const { Cell::new(0) };
+    }
+
+    /// Oracle: the per-item seal that derived both subkeys for every
+    /// blob.
+    fn seal(device_key: &[u8; 32], label: &[u8], plaintext: &[u8], rng: &mut CsPrng) -> Vec<u8> {
+        let (enc_key, mac_key) = subkeys(device_key, label);
+        let mut nonce = [0u8; NONCE_LEN];
+        rng.fill_bytes(&mut nonce);
+        let mut body = plaintext.to_vec();
+        ChaCha20::new(&enc_key, &nonce).apply(&mut body);
+        let mut out = Vec::with_capacity(NONCE_LEN + body.len() + TAG_LEN);
+        out.extend_from_slice(&nonce);
+        out.extend_from_slice(&body);
+        let tag = HmacSha256::mac(&mac_key, &out);
+        out.extend_from_slice(&tag);
+        out
+    }
+
+    /// Oracle: the per-item open matching [`seal`].
+    fn open(device_key: &[u8; 32], label: &[u8], blob: &[u8]) -> Result<Vec<u8>, ProtocolError> {
+        if blob.len() < NONCE_LEN + TAG_LEN {
+            return Err(ProtocolError::MalformedCiphertext(format!(
+                "blob of {} bytes is shorter than nonce+tag",
+                blob.len()
+            )));
+        }
+        let (enc_key, mac_key) = subkeys(device_key, label);
+        let (body, tag) = blob.split_at(blob.len() - TAG_LEN);
+        HmacSha256::verify(&mac_key, body, tag)
+            .map_err(|_| ProtocolError::AuthenticationFailed("ciphertext tag invalid".into()))?;
+        let nonce: [u8; NONCE_LEN] = body[..NONCE_LEN].try_into().expect("length checked");
+        let mut plaintext = body[NONCE_LEN..].to_vec();
+        ChaCha20::new(&enc_key, &nonce).apply(&mut plaintext);
+        Ok(plaintext)
+    }
+
+    #[test]
+    fn derived_keys_seal_byte_identically_to_the_per_item_oracle() {
+        let key = [0x5A; 32];
+        let keys = SealKeys::derive(&key);
+        let labelled = [
+            (LABEL_NETWORK, &keys.network),
+            (LABEL_INPUT, &keys.input),
+            (LABEL_OUTPUT, &keys.output),
+        ];
+        for (label, derived) in labelled {
+            let mut rng = CsPrng::from_seed_bytes(b"oracle");
+            let mut twin = CsPrng::from_seed_bytes(b"oracle");
+            for len in [0, 1, 19, 63, 64, 65, 300] {
+                let plaintext: Vec<u8> = (0..len).map(|i| (i * 7 + len) as u8).collect();
+                let sealed = derived.seal(&plaintext, &mut rng);
+                let oracle = seal(&key, label, &plaintext, &mut twin);
+                assert_eq!(sealed, oracle, "{label:?}, {len} bytes");
+                assert_eq!(derived.open(&oracle).unwrap(), plaintext);
+                assert_eq!(open(&key, label, &sealed).unwrap(), plaintext);
+                let mut tampered = sealed.clone();
+                tampered[NONCE_LEN] ^= 1;
+                assert!(derived.open(&tampered).is_err());
+                assert!(open(&key, label, &tampered).is_err());
+            }
+        }
+    }
+
+    #[test]
+    fn endpoints_seal_byte_identically_to_the_per_item_oracle() {
+        let key = [0x5A; 32];
+        let mut owner = NetworkOwner::new(key, b"owner-rng");
+        let mut oracle_rng = CsPrng::from_seed_bytes(b"owner-rng");
+        let config = identity(4);
+        let network = owner.cipher_network(&config);
+        let oracle = seal(&key, LABEL_NETWORK, &config.to_bytes(), &mut oracle_rng);
+        assert_eq!(network, oracle);
+        let input = owner.cipher_input(&[1.0, 0.5, -0.25, 0.0]);
+        let oracle = seal(
+            &key,
+            LABEL_INPUT,
+            &encode_values(&[1.0, 0.5, -0.25, 0.0]),
+            &mut oracle_rng,
+        );
+        assert_eq!(input, oracle);
+
+        // The accelerator's nonces come from a generator seeded with the
+        // device key, as before.
+        let mut accel = SecureAccelerator::new(PhotonicEngine::reference(1), key);
+        accel.load_network(&network).unwrap();
+        let output = accel.execute_network(&input).unwrap();
+        let plaintext = open(&key, LABEL_OUTPUT, &output).unwrap();
+        let mut accel_rng = CsPrng::from_seed_bytes(&key);
+        assert_eq!(seal(&key, LABEL_OUTPUT, &plaintext, &mut accel_rng), output);
+        assert_eq!(
+            owner.decipher_output(&output).unwrap(),
+            decode_values(&plaintext).unwrap()
+        );
+    }
+
+    #[test]
+    fn subkeys_are_derived_once_per_label_and_party() {
+        SUBKEY_DERIVATIONS.with(|n| n.set(0));
+        let (mut owner, mut accel) = setup();
+        accel
+            .load_network(&owner.cipher_network(&identity(4)))
+            .unwrap();
+        let sealed = accel
+            .execute_network_batch(&owner.cipher_inputs(&batch_inputs(256, 4)))
+            .unwrap();
+        assert_eq!(owner.decipher_outputs(&sealed).unwrap().len(), 256);
+        // Three labels for each of the two parties.
+        assert_eq!(SUBKEY_DERIVATIONS.with(Cell::get), 6);
+    }
+
+    #[test]
+    fn debug_output_shows_no_key_or_weight() {
+        let key = [0xC3; 32];
+        let mut owner = NetworkOwner::new(key, b"owner-rng");
+        let mut accel = SecureAccelerator::new(PhotonicEngine::reference(1), key);
+        let weight = 0.123_456_79_f32;
+        let config = NetworkConfig::mlp(&[2, 2], |_, _, _| weight);
+        accel.load_network(&owner.cipher_network(&config)).unwrap();
+        let rendered = format!("{owner:?} {accel:?} {owner:#?} {accel:#?}");
+        assert!(rendered.contains("loaded: true"), "{rendered}");
+        // The engine's own rendering carries the programmed weight, so
+        // the marker would show if the engine were printed.
+        let weight_marker = "0.1234567";
+        assert!(format!("{:?}", accel.engine).contains(weight_marker));
+        for secret in ["195, 195", "c3c3", weight_marker] {
+            assert!(!rendered.contains(secret), "{secret} in {rendered}");
+        }
+    }
 
     fn identity(width: usize) -> NetworkConfig {
         NetworkConfig::mlp(&[width, width], |_, o, i| if o == i { 1.0 } else { 0.0 })
