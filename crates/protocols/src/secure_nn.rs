@@ -548,6 +548,18 @@ impl Session for WireNnBatchClient {
                             Ok(self.send(&SecureNnMsg::OutputAck { index: chunk.index }))
                         }
                     }
+                    // The accelerator acked the final chunk as if more
+                    // were due, so it latched another `total` than the
+                    // one sent. It keeps that total, so a retransmission
+                    // cannot recover: fail now rather than time out.
+                    Incoming::Msg(_, SecureNnMsg::ChunkAck { index }) => {
+                        self.arq.activity();
+                        Err(ProtocolError::OutOfOrder(format!(
+                            "chunk ack {index} for the final chunk of {}: \
+                             the accelerator holds another batch total",
+                            self.request_chunks.len()
+                        )))
+                    }
                     Incoming::Msg(_, SecureNnMsg::Fault(what)) => {
                         self.arq.activity();
                         self.rejected(ProtocolError::PeerFault(what))
@@ -885,7 +897,7 @@ fn subkeys(device_key: &[u8; 32], label: &[u8]) -> ([u8; 32], [u8; 32]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::Channel;
+    use crate::transport::{Channel, Side};
     use neuropuls_accel::config::NetworkConfig;
     use neuropuls_rt::codec::FromBytes;
     use std::cell::Cell;
@@ -1340,6 +1352,66 @@ mod tests {
         assert!(matches!(reply, SecureNnMsg::Fault(_)), "{reply:?}");
         assert!(!server.done());
         assert_eq!(server.request_chunks.len(), 1);
+    }
+
+    /// A lossless link that flips bit 31 of the `total` of the first
+    /// request chunk the client sends.
+    struct FlipFirstTotal {
+        inner: Channel,
+        flipped: bool,
+    }
+
+    impl Transport for FlipFirstTotal {
+        fn send(&mut self, from: Side, mut frame: Vec<u8>) {
+            let env = Envelope::from_bytes(&frame).unwrap();
+            if let (Side::A, false, Ok(SecureNnMsg::ExecuteChunk(mut chunk))) =
+                (from, self.flipped, env.open())
+            {
+                chunk.total ^= 1 << 31;
+                let msg = SecureNnMsg::ExecuteChunk(chunk);
+                frame = Envelope::pack(env.protocol, env.session, env.seq, &msg).to_bytes();
+                self.flipped = true;
+            }
+            self.inner.send(from, frame);
+        }
+
+        fn recv(&mut self, to: Side) -> Option<Vec<u8>> {
+            self.inner.recv(to)
+        }
+    }
+
+    /// Regression: the accelerator latches a `total` corrupted upward
+    /// and acks the only chunk as a non-final one. The client used to
+    /// ignore that ack and retransmit until its retries ran out; it now
+    /// fails at once, naming the total.
+    #[test]
+    fn corrupted_total_ends_a_batch_of_one_at_once() {
+        let (mut owner, mut accel) = setup();
+        accel
+            .load_network(&owner.cipher_network(&identity(4)))
+            .unwrap();
+        let shared = share_accelerator(accel);
+        let mut link = FlipFirstTotal {
+            inner: Channel::new(),
+            flipped: false,
+        };
+        let (report, outputs) = run_wire_batch_inference(
+            &mut link,
+            &shared,
+            None,
+            &owner.cipher_inputs(&batch_inputs(1, 4)),
+            12,
+            SessionConfig::default(),
+            &mut neuropuls_rt::trace::Tracer::disabled(),
+            None,
+        );
+        assert!(link.flipped);
+        assert!(outputs.is_none());
+        match report.result {
+            Err(ProtocolError::OutOfOrder(what)) => assert!(what.contains("total"), "{what}"),
+            other => panic!("want OutOfOrder, got {other:?}"),
+        }
+        assert_eq!(report.retransmits, 0);
     }
 
     #[test]
