@@ -41,25 +41,24 @@ fn workload(scale: Scale) -> FleetConfig {
 }
 
 /// Runs the overhead comparison: `reps` untraced and `reps` traced
-/// passes over the same workload, keeping the minimum wall clock of
-/// each (the minimum is the least noise-contaminated estimate of the
-/// true cost).
+/// passes over the same workload, alternating untraced and traced so a
+/// burst of host load lands on both sides, keeping the minimum wall
+/// clock of each (the minimum is the least noise-contaminated estimate
+/// of the true cost).
 pub fn run(scale: Scale) -> (Rendered, Outcome) {
     let config = workload(scale);
-    let reps = 3;
+    let reps = 5;
 
     let mut untraced_ns = f64::INFINITY;
+    let mut traced_ns = f64::INFINITY;
     let mut untraced_report = None;
+    let mut traced_artifacts = None;
     for _ in 0..reps {
         let t0 = Instant::now();
         let report = run_fleet(&config, &mut Tracer::disabled(), &Registry::new());
         untraced_ns = untraced_ns.min(t0.elapsed().as_nanos() as f64);
         untraced_report = Some(report);
-    }
 
-    let mut traced_ns = f64::INFINITY;
-    let mut traced_artifacts = None;
-    for _ in 0..reps {
         let mut tracer = Tracer::new();
         let registry = Registry::new();
         let t0 = Instant::now();

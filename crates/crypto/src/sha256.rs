@@ -95,7 +95,9 @@ impl Sha256 {
         }
         let whole = rest.len() - rest.len() % BLOCK_LEN;
         let (blocks, tail) = rest.split_at(whole);
-        compress(&mut self.state, blocks);
+        if !blocks.is_empty() {
+            compress(&mut self.state, blocks);
+        }
         if !tail.is_empty() {
             self.buffer[..tail.len()].copy_from_slice(tail);
             self.buffered = tail.len();
@@ -200,6 +202,12 @@ fn compress_scalar(state: &mut [u32; 8], blocks: &[u8]) {
 /// `sha256rnds2` runs two rounds on the state held as the `ABEF` and
 /// `CDGH` register pair, and `sha256msg1`/`sha256msg2` extend the
 /// message schedule four words at a time.
+///
+/// # Safety
+///
+/// Callers outside a context with these target features must first
+/// check that the CPU supports SHA, SSE2, SSSE3 and SSE4.1
+/// ([`has_sha_ni`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
 fn compress_sha_ni(state: &mut [u32; 8], blocks: &[u8]) {

@@ -32,7 +32,6 @@ use std::fmt;
 /// The encrypt-then-MAC keys of one direction label: the ChaCha20 key
 /// and the HMAC keyed on the MAC key, both derived once from the device
 /// key.
-#[derive(Clone)]
 struct LabelKeys {
     enc: [u8; 32],
     mac: HmacSha256,
@@ -866,9 +865,9 @@ pub fn run_wire_batch_inference<T: Transport>(
 // Key derivation
 // ---------------------------------------------------------------------------
 
-// Kept last among the non-test items: its test-only derivation counter
-// is a `#[cfg(test)]` line, and `scripts/check_no_panics.sh` stops
-// reading a file at the first one.
+// Kept last among the non-test items: the derivation counter below is
+// compiled for tests only, and `scripts/check_no_panics.sh` stops
+// reading a file at the first test-only attribute.
 fn subkeys(device_key: &[u8; 32], label: &[u8]) -> ([u8; 32], [u8; 32]) {
     let mut enc = [0u8; 32];
     let mut mac = [0u8; 32];
