@@ -5,27 +5,43 @@
 //! thread, then to eight — and checks the outputs bit-for-bit, which is
 //! the paper's determinism claim: the per-item noise streams are
 //! re-derived from `(seed, epoch, index)`, never from worker identity.
+//! `run` asserts that identity on every cell and a modeled speedup of
+//! at least 3x at batch 64.
+//!
+//! `measure_and_assert` is the host-timed half: 64 scalar `infer`
+//! calls against one `infer_batch` on an 8-worker pool, wall clock, at
+//! least 3x. `exp E21` runs it after the sweep; the all-experiments run
+//! does not, so its parallel schedule cannot flake it.
 
 use crate::{Rendered, Scale};
 use neuropuls_accel::config::NetworkConfig;
 use neuropuls_accel::engine::{AnalogModel, PhotonicEngine};
 use neuropuls_rt::pool;
+use std::time::Instant;
+
+/// The acceptance batch size of both gates.
+const BATCH: usize = 64;
+
+/// Wall-clock repetitions of the host-timed gate; the minimum is
+/// reported, which is the standard way to shave scheduler noise off a
+/// hot-loop measurement.
+const REPS: usize = 7;
 
 /// Input width of the reference workload (and, symmetrically, its
 /// output width).
-pub const REFERENCE_WIDTH: usize = 16;
+const REFERENCE_WIDTH: usize = 16;
 
 /// The reference workload: a four-layer dense MLP, 16-32-32-32-16,
 /// 3072 MACs per inference. Weights land on a deterministic grid well
 /// inside the quantizer range.
-pub fn reference_network() -> NetworkConfig {
+fn reference_network() -> NetworkConfig {
     NetworkConfig::mlp(&[16, 32, 32, 32, 16], |l, o, i| {
         ((l * 131 + o * 17 + i * 5) % 41) as f32 / 20.0 - 1.0
     })
 }
 
 /// Deterministic batch of activation vectors for [`reference_network`].
-pub fn batch_inputs(batch: usize) -> Vec<Vec<f64>> {
+fn batch_inputs(batch: usize) -> Vec<Vec<f64>> {
     (0..batch)
         .map(|n| {
             (0..REFERENCE_WIDTH)
@@ -144,8 +160,13 @@ pub type CellSummary = (&'static str, usize, f64, bool);
 /// model. Cells run serially on purpose: each cell pins the pool width
 /// (1, then 8) for its thread-identity check, so the sweep itself must
 /// not fan out through `par_map`.
+///
+/// # Panics
+///
+/// If any cell's outputs differ between 1 and 8 pool workers, or the
+/// reference model's modeled speedup at batch 64 is below 3x.
 pub fn run(scale: Scale) -> (Rendered, Vec<CellSummary>) {
-    let batches: Vec<usize> = scale.pick(vec![1, 64], vec![1, 8, 64, 256]);
+    let batches: Vec<usize> = scale.pick(vec![1, BATCH], vec![1, 8, BATCH, 256]);
     let models: [(&'static str, AnalogModel); 2] = [
         ("reference", AnalogModel::reference()),
         ("ideal", AnalogModel::ideal()),
@@ -182,7 +203,7 @@ pub fn run(scale: Scale) -> (Rendered, Vec<CellSummary>) {
             .to_string(),
     );
 
-    let summary = results
+    let summary: Vec<CellSummary> = results
         .iter()
         .map(|r| {
             (
@@ -193,7 +214,84 @@ pub fn run(scale: Scale) -> (Rendered, Vec<CellSummary>) {
             )
         })
         .collect();
+
+    for &(model, batch, _, invariant) in &summary {
+        assert!(
+            invariant,
+            "{model} batch {batch} diverged between 1 and 8 pool workers"
+        );
+    }
+    let modeled = summary
+        .iter()
+        .find(|(model, batch, _, _)| *model == "reference" && *batch == BATCH)
+        .map(|&(_, _, speedup, _)| speedup)
+        .expect("sweep carries the reference batch-64 cell");
+    assert!(
+        modeled >= 3.0,
+        "modeled pipelined speedup at batch {BATCH} fell to {modeled:.2}x"
+    );
     (out, summary)
+}
+
+fn loaded_reference_engine(seed: u64) -> PhotonicEngine {
+    let mut engine = PhotonicEngine::new(AnalogModel::reference(), seed);
+    engine
+        .load(reference_network())
+        .expect("reference network fits the quantizer");
+    engine
+}
+
+fn min_secs(mut routine: impl FnMut()) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..REPS {
+        let start = Instant::now();
+        routine();
+        best = best.min(start.elapsed().as_secs_f64());
+    }
+    best
+}
+
+/// Host-timed gate: measures a batch of 64 through `infer_batch` on an
+/// 8-worker pool against 64 scalar `infer` calls, each side the best of
+/// `REPS` wall clocks, prints both to stderr and asserts the batched
+/// path is at least 3x faster.
+///
+/// # Panics
+///
+/// If the measured speedup is below 3x.
+pub(crate) fn measure_and_assert() {
+    let inputs = batch_inputs(BATCH);
+
+    let mut scalar_engine = loaded_reference_engine(0xE21_BEEF);
+    let scalar_s = min_secs(|| {
+        for input in &inputs {
+            std::hint::black_box(scalar_engine.infer(input).expect("network is loaded"));
+        }
+    });
+
+    let mut batch_engine = loaded_reference_engine(0xE21_BEEF);
+    let batch_s = pool::with_threads(8, || {
+        min_secs(|| {
+            std::hint::black_box(
+                batch_engine
+                    .infer_batch(&inputs)
+                    .expect("network is loaded"),
+            );
+        })
+    });
+
+    let speedup = scalar_s / batch_s;
+    eprintln!(
+        "batch {BATCH} on 8 workers: scalar {:.3} ms, batched {:.3} ms — {speedup:.2}x",
+        scalar_s * 1e3,
+        batch_s * 1e3
+    );
+
+    assert!(
+        speedup >= 3.0,
+        "batched inference must beat {BATCH} scalar calls by >= 3x, measured {speedup:.2}x"
+    );
+    eprintln!("throughput target met: {speedup:.2}x >= 3x");
 }
 
 #[cfg(test)]

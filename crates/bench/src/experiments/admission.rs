@@ -257,7 +257,7 @@ pub type CellSummary = (usize, u64, u64, u64, usize, u64, usize, bool);
 
 /// The acceptance cell's row (1024 sessions at 4× overload), if the
 /// sweep carried it.
-pub fn acceptance_row(summary: &[CellSummary]) -> Option<CellSummary> {
+fn acceptance_row(summary: &[CellSummary]) -> Option<CellSummary> {
     summary
         .iter()
         .find(|&&(sessions, overload, ..)| {
@@ -269,6 +269,12 @@ pub fn acceptance_row(summary: &[CellSummary]) -> Option<CellSummary> {
 /// Runs the session-count × overload sweep. Both scales carry the
 /// acceptance cell and an 8× cell at the same session count, so the
 /// starvation-grows-with-the-budget comparison is always available.
+///
+/// # Panics
+///
+/// Unless, at the acceptance cell, FIFO admits none of the trailing
+/// minority while equal-weight DWRR keeps every class's p99 wait inside
+/// its fair drain and below FIFO's censored wait.
 pub fn run(scale: Scale) -> (Rendered, Vec<CellSummary>) {
     let cells: Vec<Cell> = scale
         .pick(
@@ -312,7 +318,7 @@ pub fn run(scale: Scale) -> (Rendered, Vec<CellSummary>) {
             .to_string(),
     );
 
-    let summary = results
+    let summary: Vec<CellSummary> = results
         .iter()
         .map(|r| {
             let fm = r.fifo_minority();
@@ -329,6 +335,18 @@ pub fn run(scale: Scale) -> (Rendered, Vec<CellSummary>) {
             )
         })
         .collect();
+
+    let (_, _, run_ticks, fifo_p99, fifo_adm, dwrr_p99, _, bounded) =
+        acceptance_row(&summary).expect("sweep carries the 1024-session 4x cell");
+    assert_eq!(
+        fifo_adm, 0,
+        "fifo must starve the trailing minority outright at 4x overload"
+    );
+    assert!(
+        bounded && dwrr_p99 < fifo_p99,
+        "dwrr must bound every class's p99 inside its fair drain (minority {dwrr_p99} vs \
+         fifo's censored {fifo_p99}, budget {run_ticks})"
+    );
     (out, summary)
 }
 

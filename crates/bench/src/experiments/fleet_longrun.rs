@@ -49,7 +49,7 @@ struct Cell {
 pub type CellSummary = (usize, f64, u64, u64, u64, u64, u64, u64, bool);
 
 /// Dense-loop step calls per keep-alive step call for one summary row.
-pub fn saving(row: &CellSummary) -> f64 {
+fn saving(row: &CellSummary) -> f64 {
     row.3 as f64 / row.2.max(1) as f64
 }
 
@@ -61,7 +61,7 @@ pub fn saving(row: &CellSummary) -> f64 {
 /// fails the MAC check on a perfect link too), so the gate is that the
 /// lossy link adds *no* failures beyond those — same epochs fired,
 /// same epochs completed, nothing missed, every epoch accounted for.
-pub fn acceptance(summary: &[CellSummary]) -> Option<(f64, bool)> {
+fn acceptance(summary: &[CellSummary]) -> Option<(f64, bool)> {
     let cell = |target: f64| {
         summary.iter().find(move |&&(devices, loss, ..)| {
             devices == ACCEPTANCE_DEVICES && (loss - target).abs() < 1e-9
@@ -97,6 +97,12 @@ fn cell_config(cell: Cell) -> PersistentFleetConfig {
 
 /// Runs the fleet-size x loss sweep and renders one table per loss
 /// rate. Both scales carry the 1024-device 10%-loss acceptance cell.
+///
+/// # Panics
+///
+/// If the keep-alive driver saves less than 5x of the dense loop's
+/// step calls at 1024 devices, if the 10% lossy link loses a
+/// re-attestation there, or if any cell fails to conserve its epochs.
 pub fn run(scale: Scale) -> (Rendered, Vec<CellSummary>) {
     let device_sweep: Vec<usize> = scale.pick(
         vec![256, ACCEPTANCE_DEVICES],
@@ -182,6 +188,23 @@ pub fn run(scale: Scale) -> (Rendered, Vec<CellSummary>) {
         metrics.counter_value("crp_store.commits"),
         metrics.quantile("crp_store.shard_hot", 0.99),
     ));
+
+    let (step_saving, no_lost) = acceptance(&summary).expect("sweep carries the 1024-device cell");
+    assert!(
+        step_saving >= 5.0,
+        "keep-alive driver must make >= 5x fewer step calls than the dense loop at 1024 \
+         mostly-idle devices, measured {step_saving:.2}x"
+    );
+    assert!(
+        no_lost,
+        "10% lossy control link must lose zero re-attestations at 1024 devices"
+    );
+    for row in &summary {
+        assert!(
+            row.8 && row.6 == 0,
+            "re-attestation conservation violated in cell {row:?}"
+        );
+    }
     (out, summary)
 }
 

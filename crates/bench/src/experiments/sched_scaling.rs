@@ -168,7 +168,7 @@ pub type CellSummary = (usize, f64, u64, u64, usize, usize);
 
 /// Step-saving ratio of the acceptance cell (1024 sessions at the
 /// acceptance loss rate), if the sweep carried it.
-pub fn acceptance_saving(summary: &[CellSummary]) -> Option<f64> {
+fn acceptance_saving(summary: &[CellSummary]) -> Option<f64> {
     summary
         .iter()
         .find(|&&(sessions, loss, ..)| {
@@ -179,6 +179,11 @@ pub fn acceptance_saving(summary: &[CellSummary]) -> Option<f64> {
 
 /// Runs the session-count x loss sweep and renders one table per loss
 /// rate. Both scales carry the 1024-session acceptance cell.
+///
+/// # Panics
+///
+/// If the wake scheduler saves less than 5x of the dense loop's step
+/// calls at 1024 mostly-idle sessions.
 pub fn run(scale: Scale) -> (Rendered, Vec<CellSummary>) {
     let session_sweep: Vec<usize> = scale.pick(
         vec![256, ACCEPTANCE_SESSIONS],
@@ -214,7 +219,7 @@ pub fn run(scale: Scale) -> (Rendered, Vec<CellSummary>) {
             .to_string(),
     );
 
-    let summary = results
+    let summary: Vec<CellSummary> = results
         .iter()
         .map(|r| {
             (
@@ -227,6 +232,13 @@ pub fn run(scale: Scale) -> (Rendered, Vec<CellSummary>) {
             )
         })
         .collect();
+
+    let saving = acceptance_saving(&summary).expect("sweep carries the 1024-session cell");
+    assert!(
+        saving >= 5.0,
+        "wake scheduler must make >= 5x fewer step calls than the dense loop at 1024 \
+         mostly-idle sessions, measured {saving:.2}x"
+    );
     (out, summary)
 }
 

@@ -7,8 +7,8 @@
 //! `NEUROPULS_THREADS` value.
 //!
 //! Wall clocks are host measurements and therefore volatile; the <5%
-//! overhead budget is enforced by the standalone `exp_trace_overhead`
-//! binary (quiet machine), not here, so `exp_all`'s noisy parallel
+//! overhead budget (`assert_overhead_budget`) is asserted only by
+//! `exp E19`, not by the all-experiments run, so its noisy parallel
 //! schedule cannot flake the suite.
 
 use crate::{Rendered, Scale};
@@ -107,6 +107,24 @@ pub fn run(scale: Scale) -> (Rendered, Outcome) {
         outcome.overhead_frac * 100.0
     ));
     (out, outcome)
+}
+
+/// Host-timed gate: tracing the fleet workload must cost < 5% wall
+/// clock. Prints the measured overhead to stderr.
+///
+/// # Panics
+///
+/// If `overhead_frac` (an [`Outcome::overhead_frac`]) is 5% or more.
+pub(crate) fn assert_overhead_budget(overhead_frac: f64) {
+    assert!(
+        overhead_frac < 0.05,
+        "instrumentation overhead {:.2}% exceeds the 5% budget",
+        overhead_frac * 100.0
+    );
+    eprintln!(
+        "overhead {:+.2}% — within the 5% budget",
+        overhead_frac * 100.0
+    );
 }
 
 #[cfg(test)]

@@ -102,7 +102,7 @@
 //!
 //! [`GatewayReport::per_class`] breaks admissions and backlog waits
 //! out per class (mirrored into the trace [`Registry`] as
-//! `gateway.class.<label>.*`), which is what `exp_admission` (E24)
+//! `gateway.class.<label>.*`), which is what E24 (`exp E24`)
 //! uses to show FIFO starving a minority class under overload while
 //! DWRR bounds every class's p99 admission wait.
 //!

@@ -16,7 +16,7 @@
 //! up the other half: every item derives its randomness from its own
 //! seed (die id, experiment id, item index), never from RNG state
 //! shared across items. CI enforces the end-to-end property by diffing
-//! `exp_all --smoke` at 1 and N threads.
+//! `exp --smoke` at 1 and N threads.
 //!
 //! # Sizing
 //!
