@@ -5,16 +5,14 @@
 //! Neuromorphic photonic accelerator model — the asset the NEUROPULS
 //! security layers protect.
 //!
-//! Three pieces:
+//! Two pieces:
 //!
 //! * [`config::NetworkConfig`] — the confidential network description
 //!   with its binary wire codec (the payload of `load_network` in
 //!   Table I of the paper);
 //! * [`engine::PhotonicEngine`] — an MZI-crossbar inference engine with
 //!   PCM weight quantization, analog MAC noise, drift, and
-//!   energy/latency accounting;
-//! * [`reservoir::Reservoir`] — an echo-state-style photonic reservoir
-//!   layer (the workload class the platform paper \[11\] targets).
+//!   energy/latency accounting.
 //!
 //! # Example
 //!
@@ -34,8 +32,6 @@
 
 pub mod config;
 pub mod engine;
-pub mod reservoir;
 
 pub use config::{Activation, LayerConfig, NetworkConfig};
 pub use engine::{AnalogModel, EngineError, EngineStats, PhotonicEngine};
-pub use reservoir::Reservoir;

@@ -8,8 +8,10 @@
 //! experiment asserts its deterministic gates itself, in either mode.
 //!
 //! stdout carries only the deterministic tables, byte-identical at any
-//! `NEUROPULS_THREADS` value (CI diffs 1 thread against 8). Host
-//! timings, gate lines and the harness wall clock go to stderr.
+//! `NEUROPULS_THREADS` value (CI diffs 1 thread against 8). Named runs
+//! print their host timings and gate lines to stderr. The no-ID run
+//! prints only its harness wall clock there: its experiments share the
+//! pool, so their host timings would measure each other's load.
 //! `--smoke` selects the CI-sized configuration. An unknown flag or ID
 //! prints the usage line and exits with status 2 before running
 //! anything.
@@ -47,7 +49,7 @@ fn main() -> ExitCode {
     if selected.is_empty() {
         let threads = pool::current_threads();
         let t0 = Instant::now();
-        let outputs = pool::par_map(RUNNERS.to_vec(), |(_, run)| stable(&run(scale).0));
+        let outputs = pool::par_map(RUNNERS.to_vec(), |(_, run)| run(scale).0.stable_string());
         let elapsed = t0.elapsed().as_secs_f64();
         for o in &outputs {
             print!("{o}");

@@ -81,12 +81,6 @@ impl<C: BlockCode> FuzzyExtractor<C> {
         &self.code
     }
 
-    /// Number of response bits consumed per enrollment for `data_bits` of
-    /// underlying secret data.
-    pub fn response_bits_for(&self, data_blocks: usize) -> usize {
-        data_blocks * self.code.code_bits()
-    }
-
     /// Enrolls a response (bits stored one per byte).
     ///
     /// # Errors

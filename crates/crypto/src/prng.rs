@@ -43,13 +43,6 @@ impl CsPrng {
         }
     }
 
-    /// Seeds from a 32-byte key directly (no stretching).
-    pub fn from_key(key: [u8; 32]) -> Self {
-        CsPrng {
-            cipher: ChaCha20::new(&key, &[0u8; 12]),
-        }
-    }
-
     /// Returns the next `n` pseudo-random bytes.
     pub fn next_bytes(&mut self, n: usize) -> Vec<u8> {
         let mut out = vec![0u8; n];

@@ -459,23 +459,17 @@ pub fn proportion_gate(per_sequence: &[Vec<TestResult>], alpha: f64) -> Vec<Prop
 #[cfg(test)]
 mod tests {
     use super::*;
+    use neuropuls_rt::rng::SplitMix64;
 
-    /// A deterministic "good" pseudo-random bit source (SplitMix64).
-    fn random_bits(n: usize, seed: u64) -> Vec<u8> {
-        let mut state = seed;
+    /// A deterministic "good" pseudo-random bit source: `n` bits of the
+    /// SplitMix64 stream from `seed`, least significant bit first.
+    pub(super) fn random_bits(n: usize, seed: u64) -> Vec<u8> {
+        let mut stream = SplitMix64::new(seed);
         let mut out = Vec::with_capacity(n);
         while out.len() < n {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^= z >> 31;
-            for i in 0..64 {
-                if out.len() == n {
-                    break;
-                }
-                out.push(((z >> i) & 1) as u8);
-            }
+            let z = stream.next();
+            let take = (n - out.len()).min(64);
+            out.extend((0..take).map(|i| ((z >> i) & 1) as u8));
         }
         out
     }
@@ -614,26 +608,8 @@ mod tests {
 
 #[cfg(test)]
 mod extended_tests {
+    use super::tests::random_bits;
     use super::*;
-
-    fn random_bits(n: usize, seed: u64) -> Vec<u8> {
-        let mut state = seed;
-        let mut out = Vec::with_capacity(n);
-        while out.len() < n {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^= z >> 31;
-            for i in 0..64 {
-                if out.len() == n {
-                    break;
-                }
-                out.push(((z >> i) & 1) as u8);
-            }
-        }
-        out
-    }
 
     #[test]
     fn matrix_rank_passes_random_fails_structured() {

@@ -10,6 +10,7 @@
 //!   enrollment / in-field comparisons), and
 //! * different dies are statistically independent.
 
+use neuropuls_rt::rng::SplitMix64;
 use neuropuls_rt::{Rng, RngCore, SeedableRng};
 
 /// Identifies one fabricated die (chip instance).
@@ -102,10 +103,7 @@ impl DieSampler {
     pub fn new(die: DieId, variation: ProcessVariation) -> Self {
         // Mix the die id through SplitMix64 so consecutive ids give
         // decorrelated streams.
-        let mut z = die.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
+        let z = SplitMix64::new(die.0).next();
         let mut seed = [0u8; 32];
         for (i, chunk) in seed.chunks_exact_mut(8).enumerate() {
             let v = z.wrapping_add((i as u64).wrapping_mul(0xA076_1D64_78BD_642F));
@@ -146,13 +144,7 @@ impl DieSampler {
 
     /// Draws a standard Gaussian via Box–Muller.
     pub fn gaussian(&mut self) -> f64 {
-        loop {
-            let u1: f64 = self.rng.gen::<f64>();
-            let u2: f64 = self.rng.gen::<f64>();
-            if u1 > f64::MIN_POSITIVE {
-                return (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-            }
-        }
+        crate::laser::gaussian(&mut self.rng)
     }
 
     /// Raw 64-bit draw (for structural choices such as routing
@@ -221,6 +213,34 @@ mod tests {
             let f = sampler.loss_factor(0.98);
             assert!((0.0..=1.0).contains(&f));
         }
+    }
+
+    #[test]
+    fn die_42_stream_is_pinned() {
+        // Pins the die-id mix and the Gaussian draw: a change to either
+        // moves every fabricated die, and with it every golden output.
+        let mut raw = DieSampler::new(DieId(42), ProcessVariation::typical_soi());
+        let words: Vec<u64> = (0..4).map(|_| raw.raw_u64()).collect();
+        assert_eq!(
+            words,
+            [
+                0xd5c3_f30b_f783_8c82,
+                0x9728_05a9_c4a3_37b3,
+                0x3a6c_1cda_d8fe_76a1,
+                0x1334_908c_454e_e927,
+            ]
+        );
+        let mut gauss = DieSampler::new(DieId(42), ProcessVariation::typical_soi());
+        let draws: Vec<u64> = (0..4).map(|_| gauss.gaussian().to_bits()).collect();
+        assert_eq!(
+            draws,
+            [
+                0xbfe0_31ee_e637_7160,
+                0x3ff8_812d_8f00_260c,
+                0xbfce_ee83_475f_13ef,
+                0x3ff5_81d4_3b1f_d506,
+            ]
+        );
     }
 
     #[test]

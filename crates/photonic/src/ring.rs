@@ -125,12 +125,6 @@ impl Microring {
         // E_out = r·E_in + i·k·a·e^{iφ}·E_circ
         Complex64::from(self.r) + ik * ae * circ
     }
-
-    /// Energy decay rate: fraction of circulating power lost per round
-    /// trip.
-    pub fn round_trip_loss(&self) -> f64 {
-        1.0 - self.a * self.a
-    }
 }
 
 #[cfg(test)]

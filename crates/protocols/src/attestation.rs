@@ -288,7 +288,7 @@ impl AttestationVerifier {
 // Wire sessions
 // ---------------------------------------------------------------------------
 
-use crate::transport::{Channel, Transport};
+use crate::transport::Transport;
 use crate::wire::{
     classify, drive_report, resend_or_wait, Arq, AttestationMsg, Envelope, Incoming, NextWake,
     ProtocolId, Session, SessionAction, SessionConfig, SessionReport, DEFAULT_MAX_TICKS,
@@ -527,29 +527,6 @@ pub fn run_wire_attestation<T: Transport>(
     let mut v = WireAttestationVerifier::new(verifier, session_id, cfg);
     let mut d = WireAttestingDevice::new(device, cfg);
     drive_report(channel, &mut v, &mut d, DEFAULT_MAX_TICKS, tracer)
-}
-
-/// Runs one attestation round over a perfect in-memory channel.
-///
-/// # Errors
-///
-/// Propagates the first protocol failure (digest mismatch, temporal
-/// violation, or PUF error).
-pub fn run_attestation(
-    device: &mut AttestingDevice,
-    verifier: &mut AttestationVerifier,
-) -> Result<(), ProtocolError> {
-    let mut channel = Channel::new();
-    run_wire_attestation(
-        &mut channel,
-        device,
-        verifier,
-        0,
-        SessionConfig::default(),
-        &mut neuropuls_rt::trace::Tracer::disabled(),
-    )
-    .result
-    .map(|_ticks| ())
 }
 
 #[cfg(test)]

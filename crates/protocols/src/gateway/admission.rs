@@ -169,7 +169,6 @@ impl AdmissionPolicy for Fifo {
 #[derive(Debug, Clone)]
 pub struct DeficitWeightedRoundRobin {
     weights: BTreeMap<ClassId, u64>,
-    default_weight: u64,
     queues: BTreeMap<ClassId, VecDeque<usize>>,
     deficit: BTreeMap<ClassId, u64>,
     /// Backlogged classes in service order. Invariant: a class is on
@@ -190,7 +189,6 @@ impl DeficitWeightedRoundRobin {
     pub fn new() -> Self {
         Self {
             weights: BTreeMap::new(),
-            default_weight: 1,
             queues: BTreeMap::new(),
             deficit: BTreeMap::new(),
             ring: VecDeque::new(),
@@ -205,19 +203,10 @@ impl DeficitWeightedRoundRobin {
         self
     }
 
-    /// Sets the quantum of every class not named by
-    /// [`with_weight`](Self::with_weight) (clamped to at least 1).
-    pub fn with_default_weight(mut self, weight: u64) -> Self {
-        self.default_weight = weight.max(1);
-        self
-    }
-
-    /// The quantum `class` is granted per ring cycle.
+    /// The quantum `class` is granted per ring cycle: its
+    /// [`with_weight`](Self::with_weight) value, else 1.
     pub fn weight(&self, class: ClassId) -> u64 {
-        self.weights
-            .get(&class)
-            .copied()
-            .unwrap_or(self.default_weight)
+        self.weights.get(&class).copied().unwrap_or(1)
     }
 }
 
@@ -269,7 +258,6 @@ impl AdmissionPolicy for DeficitWeightedRoundRobin {
     fn fresh(&self) -> Box<dyn AdmissionPolicy> {
         Box::new(Self {
             weights: self.weights.clone(),
-            default_weight: self.default_weight,
             queues: BTreeMap::new(),
             deficit: BTreeMap::new(),
             ring: VecDeque::new(),

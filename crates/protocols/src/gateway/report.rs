@@ -103,11 +103,6 @@ impl GatewayReport {
     pub fn all_completed(&self) -> bool {
         self.completed == self.sessions
     }
-
-    /// The [`ClassReport`] row for `class`, if any session carried it.
-    pub fn class_report(&self, class: ClassId) -> Option<&ClassReport> {
-        self.per_class.iter().find(|c| c.class == class)
-    }
 }
 
 /// What one persistent keep-alive run did, in aggregate.

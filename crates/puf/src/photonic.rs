@@ -227,7 +227,6 @@ impl PhotonicPuf {
             // independent bit.
             let lit = (config.challenge_bits + 8).min(samples);
             let t = 1 + (next() % (lit as u64 - 1)) as usize;
-            let _ = samples;
             let pa = (next() % ports as u64) as usize;
             let pb = (next() % ports as u64) as usize;
             if pa != pb {

@@ -37,19 +37,6 @@ impl<P: Puf> WeakPuf<P> {
         WeakPuf { inner, challenges }
     }
 
-    /// Uses an explicit challenge set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the set is empty or widths disagree with the inner PUF.
-    pub fn with_challenges(inner: P, challenges: Vec<Challenge>) -> Self {
-        assert!(!challenges.is_empty(), "weak PUF needs challenges");
-        for c in &challenges {
-            assert_eq!(c.len(), inner.challenge_bits(), "challenge width mismatch");
-        }
-        WeakPuf { inner, challenges }
-    }
-
     /// The fixed challenge set (public).
     pub fn challenges(&self) -> &[Challenge] {
         &self.challenges
@@ -83,11 +70,6 @@ impl<P: Puf> WeakPuf<P> {
         let readings: Result<Vec<Response>, PufError> =
             (0..reads).map(|_| self.read_key_response()).collect();
         Ok(Response::majority(&readings?))
-    }
-
-    /// Access to the wrapped primitive.
-    pub fn inner_mut(&mut self) -> &mut P {
-        &mut self.inner
     }
 }
 

@@ -684,6 +684,20 @@ mod tests {
     }
 
     #[test]
+    fn splitmix64_first_output_known_answers() {
+        // The first output places every die identity (the photonic die
+        // sampler) and every CRP-store shard, so these pin both.
+        for (seed, expected) in [
+            (0, 0xe220_a839_7b1d_cdaf),
+            (1, 0x910a_2dec_8902_5cc1),
+            (42, 0xbdd7_3226_2feb_6e95),
+            (u64::MAX, 0xe4d9_7177_1b65_2c20),
+        ] {
+            assert_eq!(SplitMix64::new(seed).next(), expected, "seed {seed}");
+        }
+    }
+
+    #[test]
     fn smallrng_survives_zero_seed() {
         let mut rng = SmallRng::from_seed([0; 32]);
         assert_ne!(rng.next_u64(), 0u64.wrapping_add(rng.next_u64()));

@@ -28,6 +28,7 @@
 //! Hit / miss / eviction counters fold into a trace
 //! [`Registry`] under `crp_store.*` via [`CrpStore::fold_into`].
 
+use neuropuls_rt::rng::SplitMix64;
 use neuropuls_rt::trace::Registry;
 use std::collections::BTreeMap;
 use std::error::Error;
@@ -127,15 +128,6 @@ impl<R> Default for Shard<R> {
     }
 }
 
-/// SplitMix64 finalizer: a full-avalanche mix so consecutive device ids
-/// spread evenly over shards.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// Sharded LRU-fronted enrollment store; `R` is the per-device record
 /// (e.g. a provisioned mutual-auth verifier).
 pub struct CrpStore<R> {
@@ -161,9 +153,11 @@ impl<R> CrpStore<R> {
 
     /// Which shard owns `device_id`.
     pub fn shard_of(&self, device_id: u64) -> usize {
+        // SplitMix64's full-avalanche output spreads consecutive device
+        // ids evenly over shards.
         // invariant: `new` clamps the shard count to at least 1, so the
         // modulus is never zero.
-        (mix(device_id) % self.shards.len() as u64) as usize
+        (SplitMix64::new(device_id).next() % self.shards.len() as u64) as usize
     }
 
     /// Enrolled records (hot + cold + checked out).
