@@ -212,11 +212,6 @@ impl NetworkConfig {
         self.layers.first().map_or(0, |l| l.inputs)
     }
 
-    /// Output width of the network (0 for an empty config).
-    pub fn output_width(&self) -> usize {
-        self.layers.last().map_or(0, |l| l.outputs)
-    }
-
     /// Serializes to the wire format.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
@@ -385,7 +380,6 @@ mod tests {
     fn widths() {
         let config = sample();
         assert_eq!(config.input_width(), 4);
-        assert_eq!(config.output_width(), 2);
         assert_eq!(NetworkConfig::default().input_width(), 0);
     }
 

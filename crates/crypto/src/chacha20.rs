@@ -5,7 +5,6 @@
 //! external party and the accelerator hardware, so plaintext never reaches
 //! the software layer.
 
-use crate::CryptoError;
 use neuropuls_rt::chacha;
 
 /// Key length in bytes.
@@ -74,24 +73,6 @@ impl ChaCha20 {
             keystream: [0; 64],
             offset: 64,
         }
-    }
-
-    /// Builds a cipher from arbitrary-length slices.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CryptoError::InvalidLength`] if `key` is not 32 bytes or
-    /// `nonce` is not 12 bytes.
-    pub fn from_slices(key: &[u8], nonce: &[u8]) -> Result<Self, CryptoError> {
-        let key: [u8; KEY_LEN] = key.try_into().map_err(|_| CryptoError::InvalidLength {
-            expected: KEY_LEN,
-            actual: key.len(),
-        })?;
-        let nonce: [u8; NONCE_LEN] = nonce.try_into().map_err(|_| CryptoError::InvalidLength {
-            expected: NONCE_LEN,
-            actual: nonce.len(),
-        })?;
-        Ok(Self::new(&key, &nonce))
     }
 
     /// XORs the keystream into `data` in place (encrypts or decrypts).
@@ -187,13 +168,6 @@ mod tests {
         cipher.apply(&mut a[77..]);
         let oneshot = ChaCha20::encrypt(&key, &nonce, &b);
         assert_eq!(a, oneshot);
-    }
-
-    #[test]
-    fn from_slices_validates_lengths() {
-        assert!(ChaCha20::from_slices(&[0; 32], &[0; 12]).is_ok());
-        assert!(ChaCha20::from_slices(&[0; 31], &[0; 12]).is_err());
-        assert!(ChaCha20::from_slices(&[0; 32], &[0; 8]).is_err());
     }
 
     #[test]

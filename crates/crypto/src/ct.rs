@@ -31,14 +31,6 @@ pub fn ct_eq(a: &[u8], b: &[u8]) -> bool {
     acc_to_bool(acc)
 }
 
-/// Selects `a` if `choice` is true, `b` otherwise, without branching on the
-/// secret `choice` bit.
-#[must_use]
-pub fn ct_select(choice: bool, a: u8, b: u8) -> u8 {
-    let mask = (choice as u8).wrapping_neg(); // 0xFF or 0x00
-    (a & mask) | (b & !mask)
-}
-
 fn acc_to_bool(acc: u8) -> bool {
     // acc == 0 ⟺ equal. `(acc | acc.wrapping_neg()) >> 7` is 1 iff acc != 0.
     ((acc | acc.wrapping_neg()) >> 7) == 0
@@ -65,11 +57,5 @@ mod tests {
         let b = a;
         a[31] ^= 0x80;
         assert!(!ct_eq(&a, &b));
-    }
-
-    #[test]
-    fn select() {
-        assert_eq!(ct_select(true, 0xAA, 0x55), 0xAA);
-        assert_eq!(ct_select(false, 0xAA, 0x55), 0x55);
     }
 }

@@ -27,7 +27,6 @@
 //! assert_eq!(digest.len(), 32);
 //! ```
 
-pub mod bch;
 pub mod chacha20;
 pub mod ct;
 pub mod ecc;

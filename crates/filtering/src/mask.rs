@@ -19,13 +19,6 @@ impl SelectionMask {
         }
     }
 
-    /// Builds a mask keeping every one of `len` positions.
-    pub fn keep_all(len: usize) -> Self {
-        SelectionMask {
-            keep: vec![true; len],
-        }
-    }
-
     /// Number of positions covered.
     pub fn len(&self) -> usize {
         self.keep.len()
@@ -50,12 +43,6 @@ impl SelectionMask {
             .collect()
     }
 
-    /// Whether position `i` is kept (positions beyond the mask are
-    /// dropped).
-    pub fn is_kept(&self, i: usize) -> bool {
-        self.keep.get(i).copied().unwrap_or(false)
-    }
-
     /// Applies the mask to a bit slice, returning only kept bits.
     ///
     /// # Panics
@@ -71,24 +58,6 @@ impl SelectionMask {
             .zip(bits.iter())
             .filter_map(|(&k, &b)| k.then_some(b))
             .collect()
-    }
-
-    /// Intersects with another mask (a CRP must survive on both the
-    /// enrollment and a revalidation pass).
-    ///
-    /// # Panics
-    ///
-    /// Panics on length mismatch.
-    pub fn intersect(&self, other: &SelectionMask) -> SelectionMask {
-        assert_eq!(self.len(), other.len(), "mask length mismatch");
-        SelectionMask {
-            keep: self
-                .keep
-                .iter()
-                .zip(other.keep.iter())
-                .map(|(&a, &b)| a && b)
-                .collect(),
-        }
     }
 }
 
@@ -108,29 +77,6 @@ mod tests {
         assert_eq!(mask.apply(&[1, 0, 1, 0]), vec![1, 1, 0]);
         assert_eq!(mask.kept(), 3);
         assert_eq!(mask.kept_indices(), vec![0, 2, 3]);
-    }
-
-    #[test]
-    fn keep_all_is_identity() {
-        let mask = SelectionMask::keep_all(4);
-        assert_eq!(mask.apply(&[1, 0, 1, 1]), vec![1, 0, 1, 1]);
-    }
-
-    #[test]
-    fn intersect_ands_flags() {
-        let a = SelectionMask::from_flags([true, true, false]);
-        let b = SelectionMask::from_flags([true, false, false]);
-        assert_eq!(
-            a.intersect(&b),
-            SelectionMask::from_flags([true, false, false])
-        );
-    }
-
-    #[test]
-    fn out_of_range_is_dropped() {
-        let mask = SelectionMask::from_flags([true]);
-        assert!(mask.is_kept(0));
-        assert!(!mask.is_kept(5));
     }
 
     #[test]

@@ -1,39 +1,8 @@
-//! Entropy estimators for PUF response populations.
+//! Min-entropy of PUF response populations.
 //!
 //! §II-A argues that photonic PUFs "can carry a much higher entropy than
 //! digital PUFs"; §V asks the simulator to "assess entropy, uniqueness,
-//! and response uniformity". These estimators quantify that claim in E2.
-
-use crate::quality::binary_entropy;
-use std::collections::HashMap;
-
-/// Shannon entropy (bits per symbol) of a byte-symbol sequence.
-pub fn shannon_entropy(symbols: &[u8]) -> f64 {
-    if symbols.is_empty() {
-        return 0.0;
-    }
-    let mut counts: HashMap<u8, usize> = HashMap::new();
-    for &s in symbols {
-        *counts.entry(s).or_insert(0) += 1;
-    }
-    let n = symbols.len() as f64;
-    counts
-        .values()
-        .map(|&c| {
-            let p = c as f64 / n;
-            -p * p.log2()
-        })
-        .sum()
-}
-
-/// Per-bit Shannon entropy of a bit sequence (bits stored one per byte).
-pub fn bit_entropy(bits: &[u8]) -> f64 {
-    if bits.is_empty() {
-        return 0.0;
-    }
-    let ones = bits.iter().filter(|&&b| b & 1 == 1).count() as f64;
-    binary_entropy(ones / bits.len() as f64)
-}
+//! and response uniformity". This estimator quantifies that claim in E2.
 
 /// Min-entropy per bit estimated from the most frequent value of each bit
 /// position across a device population (the NIST SP 800-90B "most common
@@ -61,51 +30,9 @@ pub fn min_entropy_per_bit(device_responses: &[Vec<u8>]) -> f64 {
     total / bits as f64
 }
 
-/// Markov-chain entropy rate estimate (order 1) of a bit stream — detects
-/// serial correlation that the i.i.d. estimators miss.
-pub fn markov_entropy_rate(bits: &[u8]) -> f64 {
-    if bits.len() < 2 {
-        return 0.0;
-    }
-    let mut trans = [[0usize; 2]; 2];
-    for w in bits.windows(2) {
-        trans[(w[0] & 1) as usize][(w[1] & 1) as usize] += 1;
-    }
-    let mut rate = 0.0;
-    let total: usize = trans.iter().flatten().sum();
-    for from in 0..2 {
-        let row: usize = trans[from].iter().sum();
-        if row == 0 {
-            continue;
-        }
-        let p_state = row as f64 / total as f64;
-        let p_next1 = trans[from][1] as f64 / row as f64;
-        rate += p_state * binary_entropy(p_next1);
-    }
-    rate
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn shannon_uniform_bytes() {
-        let symbols: Vec<u8> = (0..=255).collect();
-        assert!((shannon_entropy(&symbols) - 8.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn shannon_constant_is_zero() {
-        assert_eq!(shannon_entropy(&[7; 100]), 0.0);
-        assert_eq!(shannon_entropy(&[]), 0.0);
-    }
-
-    #[test]
-    fn bit_entropy_balanced() {
-        let bits: Vec<u8> = (0..100).map(|i| (i % 2) as u8).collect();
-        assert!((bit_entropy(&bits) - 1.0).abs() < 1e-12);
-    }
 
     #[test]
     fn min_entropy_ideal_population() {
@@ -118,27 +45,5 @@ mod tests {
         // Every device answers 1 on bit 0: zero min-entropy there.
         let devices = vec![vec![1, 0], vec![1, 1], vec![1, 0], vec![1, 1]];
         assert!((min_entropy_per_bit(&devices) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn markov_detects_correlation() {
-        // Alternating bits: Shannon bit entropy 1, Markov rate 0.
-        let bits: Vec<u8> = (0..1000).map(|i| (i % 2) as u8).collect();
-        assert!((bit_entropy(&bits) - 1.0).abs() < 1e-12);
-        assert!(markov_entropy_rate(&bits) < 1e-6);
-    }
-
-    #[test]
-    fn markov_of_random_is_high() {
-        let mut state = 12345u64;
-        let bits: Vec<u8> = (0..4096)
-            .map(|_| {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                ((state >> 62) & 1) as u8
-            })
-            .collect();
-        assert!(markov_entropy_rate(&bits) > 0.98);
     }
 }

@@ -6,9 +6,9 @@
 //!
 //! Implements the full metric set the paper's §II and §V call for:
 //! fractional Hamming distance statistics (uniqueness, reliability),
-//! uniformity, bit-aliasing entropy (the y-axis of Fig. 3), entropy
-//! estimators, a NIST SP 800-22 test battery subset, and FAR/FRR
-//! analysis.
+//! uniformity, bit-aliasing entropy (the y-axis of Fig. 3), a
+//! min-entropy estimator, a NIST SP 800-22 test battery subset, and
+//! FAR/FRR analysis.
 //!
 //! Bit strings are represented one bit per byte (`0`/`1`), which keeps
 //! every estimator trivially auditable.

@@ -65,23 +65,6 @@ pub fn reliability(golden: &[u8], rereads: &[Vec<u8>]) -> MetricSummary {
     MetricSummary::from_values(&distances)
 }
 
-/// Per-bit flip probability of one device estimated from re-readings
-/// (used by the filtering method to rank CRPs).
-pub fn bit_error_rates(golden: &[u8], rereads: &[Vec<u8>]) -> Vec<f64> {
-    let mut flips = vec![0usize; golden.len()];
-    for reread in rereads {
-        for (i, (&g, &r)) in golden.iter().zip(reread.iter()).enumerate() {
-            if (g ^ r) & 1 == 1 {
-                flips[i] += 1;
-            }
-        }
-    }
-    flips
-        .into_iter()
-        .map(|f| f as f64 / rereads.len() as f64)
-        .collect()
-}
-
 /// Uniformity: fraction of ones per response, summarized over devices.
 pub fn uniformity(device_responses: &[Vec<u8>]) -> MetricSummary {
     let values: Vec<f64> = device_responses
@@ -208,14 +191,6 @@ mod tests {
         let noisy = vec![0, 0, 1, 1]; // 1 of 4 flipped
         let summary = reliability(&golden, &[noisy]);
         assert!((summary.mean - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn bit_error_rates_localize_flips() {
-        let golden = vec![0, 0, 0];
-        let rereads = vec![vec![1, 0, 0], vec![1, 0, 0], vec![0, 0, 1], vec![0, 0, 0]];
-        let rates = bit_error_rates(&golden, &rereads);
-        assert_eq!(rates, vec![0.5, 0.0, 0.25]);
     }
 
     #[test]

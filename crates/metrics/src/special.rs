@@ -109,11 +109,6 @@ pub fn erfc(x: f64) -> f64 {
     }
 }
 
-/// Error function.
-pub fn erf(x: f64) -> f64 {
-    1.0 - erfc(x)
-}
-
 /// Standard normal CDF.
 pub fn normal_cdf(x: f64) -> f64 {
     0.5 * erfc(-x / std::f64::consts::SQRT_2)
@@ -166,13 +161,6 @@ mod tests {
         assert!((erfc(1.0) - 0.157_299_207_050_285).abs() < 1e-9);
         assert!((erfc(2.0) - 0.004_677_734_981_063_13).abs() < 1e-9);
         assert!((erfc(-1.0) - 1.842_700_792_949_715).abs() < 1e-9);
-    }
-
-    #[test]
-    fn erf_is_odd() {
-        for x in [0.1, 0.7, 1.3, 2.2] {
-            assert!((erf(x) + erf(-x)).abs() < 1e-9);
-        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! segment phasors, ring feedback `a·e^{iφ}`) is evaluated once at the
 //! start of [`ScramblerMesh::propagate`], so the per-sample loop does no
 //! trig and no allocation. The elements stay the only source of truth:
-//! aging and detuning edit them, and the next propagation recompiles.
+//! aging edits them, and the next propagation recompiles.
 //!
 //! Between resets the mesh is linear and time-invariant: couplers,
 //! phase shifters and segments multiply by constants, and a ring
@@ -342,19 +342,6 @@ impl ScramblerMesh {
         outputs
     }
 
-    /// Clones the mesh with every ring detuned to a laser wavelength
-    /// offset of `delta_lambda_nm` (see [`crate::spectrum`]); each
-    /// ring's phase shift scales with its own circumference.
-    pub fn clone_detuned(&self, delta_lambda_nm: f64) -> Self {
-        let mut clone = self.clone();
-        for layer in &mut clone.layers {
-            for ring in layer.rings.iter_mut().flatten() {
-                ring.phi += crate::spectrum::detuning_phase(ring.circumference_um, delta_lambda_nm);
-            }
-        }
-        clone
-    }
-
     /// Ages the mesh by `years`: every phase-carrying element picks up
     /// a random-walk drift with σ = `sigma_rad_per_sqrt_year`·√years
     /// (oxide charge trapping and slow stress relaxation — §V asks the
@@ -629,7 +616,15 @@ mod tests {
             for step in 0..6 {
                 match step {
                     2 => compiled.apply_aging(4.0, 0.05, &mut rng),
-                    4 => compiled = compiled.clone_detuned(0.3),
+                    4 => {
+                        // A wavelength offset: each ring's round-trip
+                        // phase shifts in proportion to its length.
+                        for layer in &mut compiled.layers {
+                            for ring in layer.rings.iter_mut().flatten() {
+                                ring.phi -= 0.01 * ring.circumference_um;
+                            }
+                        }
+                    }
                     _ => {}
                 }
                 let mut reference = compiled.clone();

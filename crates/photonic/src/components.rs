@@ -102,27 +102,6 @@ impl Coupler {
         }
     }
 
-    /// A coupler with explicit power coupling ratio `kappa2` (0..=1),
-    /// perturbed by process variation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kappa2` is outside `[0, 1]`.
-    pub fn sampled_with_ratio(kappa2: f64, die: &mut DieSampler) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&kappa2),
-            "power ratio must be in [0,1]"
-        );
-        Coupler {
-            theta: kappa2.sqrt().asin() + die.coupling_offset(),
-        }
-    }
-
-    /// Power coupling ratio sin²θ.
-    pub fn power_ratio(&self) -> f64 {
-        self.theta.sin().powi(2)
-    }
-
     /// The matrix entries `(cos θ, sin θ)` — the only trig in
     /// [`Self::transfer`].
     pub(crate) fn cos_sin(&self) -> (f64, f64) {
@@ -195,20 +174,6 @@ mod tests {
         let (o0, o1) = coupler.transfer(Complex64::ONE, Complex64::ZERO);
         assert!((o0.norm_sqr() - 0.5).abs() < 1e-12);
         assert!((o1.norm_sqr() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn coupler_ratio_constructor() {
-        let mut sampler = DieSampler::new(DieId(4), ProcessVariation::tight(0.0));
-        let coupler = Coupler::sampled_with_ratio(0.2, &mut sampler);
-        assert!((coupler.power_ratio() - 0.2).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "power ratio")]
-    fn coupler_rejects_bad_ratio() {
-        let mut sampler = die();
-        let _ = Coupler::sampled_with_ratio(1.5, &mut sampler);
     }
 
     #[test]

@@ -41,7 +41,6 @@ pub mod laser;
 pub mod modulator;
 pub mod process;
 pub mod ring;
-pub mod spectrum;
 
 pub use circuit::{MeshSpec, ScramblerMesh};
 pub use complex::Complex64;

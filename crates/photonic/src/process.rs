@@ -17,13 +17,6 @@ use neuropuls_rt::{Rng, RngCore, SeedableRng};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DieId(pub u64);
 
-impl DieId {
-    /// Wafer-style helper: die `index` of lot `lot`.
-    pub fn from_lot(lot: u32, index: u32) -> Self {
-        DieId(((lot as u64) << 32) | index as u64)
-    }
-}
-
 impl std::fmt::Display for DieId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "die-{:016x}", self.0)
@@ -241,11 +234,5 @@ mod tests {
                 0x3ff5_81d4_3b1f_d506,
             ]
         );
-    }
-
-    #[test]
-    fn lot_ids_compose() {
-        assert_ne!(DieId::from_lot(1, 2), DieId::from_lot(2, 1));
-        assert_eq!(DieId::from_lot(0, 5), DieId(5));
     }
 }

@@ -123,14 +123,6 @@ impl CrpDatabase {
         self.entries.pop()
     }
 
-    /// Looks up the golden response for a challenge.
-    pub fn response_for(&self, challenge: &Challenge) -> Option<&Response> {
-        self.entries
-            .iter()
-            .find(|crp| &crp.challenge == challenge)
-            .map(|crp| &crp.response)
-    }
-
     /// Storage footprint in bytes when packed (challenge + response bits
     /// per entry) — the quantity compared in experiment E4.
     pub fn storage_bytes(&self) -> usize {
@@ -193,15 +185,13 @@ mod tests {
     }
 
     #[test]
-    fn lookup_and_pop() {
+    fn push_then_pop() {
         let mut db = CrpDatabase::new();
         let crp = Crp {
             challenge: Challenge::from_u64(5, 8),
             response: Response::from_u64(3, 4),
         };
         db.push(crp.clone());
-        assert_eq!(db.response_for(&crp.challenge), Some(&crp.response));
-        assert_eq!(db.response_for(&Challenge::from_u64(6, 8)), None);
         assert_eq!(db.pop(), Some(crp));
         assert_eq!(db.pop(), None);
     }

@@ -126,7 +126,7 @@ pub struct PhotonicPuf {
     env: Environment,
     rng: CountingRng<StdRng>,
     /// Noisy interrogations performed ([`Self::respond_with_margins`]
-    /// and [`Self::adc_trace`] completions).
+    /// completions).
     evaluations: u64,
     /// Mixed into the aging RNG seed and advanced on every [`Self::age_with_rate`]
     /// call, so successive aging steps draw *independent* random-walk
@@ -251,33 +251,6 @@ impl PhotonicPuf {
         }
     }
 
-    /// One noisy interrogation: noisy carrier, modulator, mesh, then every
-    /// port's receive chain in port order. Returns the per-port, per-time
-    /// ADC codes and counts the evaluation.
-    fn noisy_codes(&mut self, challenge: &Challenge) -> Result<Vec<Vec<u32>>, PufError> {
-        self.check_width(challenge)?;
-        let carrier = self.laser.noisy_carrier(&self.env, &mut self.rng);
-        let waveform = self
-            .modulator
-            .modulate(carrier, challenge.bits(), &self.env);
-        let outputs = self
-            .mesh
-            .propagate(&waveform, self.config.flush_samples, &self.env);
-        let codes = outputs
-            .iter()
-            .zip(&mut self.chains)
-            .map(|(fields, chain)| {
-                chain.reset();
-                fields
-                    .iter()
-                    .map(|&f| chain.sample(f, &self.env, &mut self.rng))
-                    .collect()
-            })
-            .collect();
-        self.evaluations += 1;
-        Ok(codes)
-    }
-
     /// Full interrogation returning response bits *and* the analog
     /// comparison margins in ADC codes (positive = confident 1, negative
     /// = confident 0). The margins feed the photocurrent-threshold
@@ -290,7 +263,28 @@ impl PhotonicPuf {
         &mut self,
         challenge: &Challenge,
     ) -> Result<(Response, Vec<f64>), PufError> {
-        let codes = self.noisy_codes(challenge)?;
+        // One noisy interrogation: noisy carrier, modulator, mesh, then
+        // every port's receive chain in port order.
+        self.check_width(challenge)?;
+        let carrier = self.laser.noisy_carrier(&self.env, &mut self.rng);
+        let waveform = self
+            .modulator
+            .modulate(carrier, challenge.bits(), &self.env);
+        let outputs = self
+            .mesh
+            .propagate(&waveform, self.config.flush_samples, &self.env);
+        let codes: Vec<Vec<u32>> = outputs
+            .iter()
+            .zip(&mut self.chains)
+            .map(|(fields, chain)| {
+                chain.reset();
+                fields
+                    .iter()
+                    .map(|&f| chain.sample(f, &self.env, &mut self.rng))
+                    .collect()
+            })
+            .collect();
+        self.evaluations += 1;
         // AC-couple each port (subtract its burst mean) before the
         // differential comparison. DC blocking is standard in high-speed
         // receivers, and it is security-critical here: without it the
@@ -316,19 +310,9 @@ impl PhotonicPuf {
         Ok((Response::from_bits(bits), margins))
     }
 
-    /// Raw per-port, per-time ADC codes for a challenge — the interface
-    /// the side-channel and laser-tampering attack models probe.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PufError::ChallengeLength`] on challenge width mismatch.
-    pub fn adc_trace(&mut self, challenge: &Challenge) -> Result<Vec<Vec<u32>>, PufError> {
-        self.noisy_codes(challenge)
-    }
-
     /// Noisy interrogations performed so far (successful
-    /// [`Self::respond_with_margins`] / [`Self::adc_trace`] calls;
-    /// noise-free evaluations are not counted).
+    /// [`Self::respond_with_margins`] calls; noise-free evaluations are
+    /// not counted).
     pub fn evaluations(&self) -> u64 {
         self.evaluations
     }
@@ -660,14 +644,6 @@ mod tests {
             "throughput {} Gb/s",
             p.throughput_gbps()
         );
-    }
-
-    #[test]
-    fn adc_trace_shape() {
-        let mut p = puf(10);
-        let trace = p.adc_trace(&challenge(10)).unwrap();
-        assert_eq!(trace.len(), 8);
-        assert_eq!(trace[0].len(), 96);
     }
 
     #[test]

@@ -19,12 +19,11 @@
 //!   [`proptest!`] macro, strategy combinators and seeded shrinking;
 //! * [`mod@codec`] — a no-derive serialization helper
 //!   ([`codec::ToBytes`] / [`codec::FromBytes`]) with a versioned header;
-//! * [`mod@pool`] — a std-only scoped thread pool (`par_map` /
-//!   `par_chunks`, `NEUROPULS_THREADS` sizing) whose parallel output is
-//!   byte-identical to serial execution;
-//! * [`mod@sched`] — deterministic discrete-event scheduling
-//!   ([`sched::TimerWheel`] hierarchical timer wheel,
-//!   [`sched::ReadyQueue`] duplicate-suppressing FIFO) driven by an
+//! * [`mod@pool`] — a std-only scoped thread pool (`par_map`,
+//!   `NEUROPULS_THREADS` sizing) whose parallel output is byte-identical
+//!   to serial execution;
+//! * [`mod@sched`] — deterministic discrete-event scheduling (the
+//!   [`sched::TimerWheel`] hierarchical timer wheel) driven by an
 //!   explicit simulated tick counter;
 //! * [`mod@trace`] — structured tracing and metrics ([`trace::Tracer`]
 //!   spans/instants with simulated-tick timestamps, [`trace::Registry`]

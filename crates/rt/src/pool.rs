@@ -3,9 +3,8 @@
 //! The workspace is hermetic (no rayon, no crossbeam), but the paper's
 //! evaluation sweeps are embarrassingly parallel device populations:
 //! 100 dies × 50 reads in E1, 50 dies × 100 re-reads in E2, independent
-//! fleet sizes in E17. This module gives those loops a `par_map` /
-//! `par_chunks` surface built on [`std::thread::scope`] with nothing
-//! but `std`.
+//! fleet sizes in E17. This module gives those loops a `par_map`
+//! built on [`std::thread::scope`] with nothing but `std`.
 //!
 //! # Determinism contract
 //!
@@ -70,7 +69,7 @@ pub fn configured_threads() -> usize {
     })
 }
 
-/// The worker count the next `par_map`/`par_chunks` call on this thread
+/// The worker count the next `par_map` call on this thread
 /// will use: the innermost [`with_threads`] override, else
 /// [`configured_threads`].
 pub fn current_threads() -> usize {
@@ -180,25 +179,6 @@ where
         .collect()
 }
 
-/// Maps `f` over `chunk_size`-sized windows of `items` on the pool,
-/// preserving chunk order (the last chunk may be shorter). Serial
-/// fallback, ordering and panic semantics match [`par_map`].
-///
-/// # Panics
-///
-/// Panics if `chunk_size == 0`; re-raises worker panics like
-/// [`par_map`].
-pub fn par_chunks<T, R, F>(items: &[T], chunk_size: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&[T]) -> R + Sync,
-{
-    assert!(chunk_size > 0, "chunk_size must be positive");
-    let chunks: Vec<&[T]> = items.chunks(chunk_size).collect();
-    par_map(chunks, f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,19 +254,6 @@ mod tests {
         // A nested par_map inside a worker must see the scoped width.
         let widths = with_threads(2, || par_map(vec![(), ()], |()| current_threads()));
         assert_eq!(widths, vec![2, 2]);
-    }
-
-    #[test]
-    fn par_chunks_covers_all_items_in_order() {
-        let items: Vec<usize> = (0..10).collect();
-        let sums = with_threads(4, || par_chunks(&items, 3, |c| c.iter().sum::<usize>()));
-        assert_eq!(sums, vec![3, 12, 21, 9]);
-    }
-
-    #[test]
-    #[should_panic(expected = "chunk_size must be positive")]
-    fn par_chunks_rejects_zero_chunk() {
-        par_chunks(&[1, 2, 3], 0, |c: &[i32]| c.len());
     }
 
     #[test]

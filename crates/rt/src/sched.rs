@@ -1,26 +1,20 @@
-//! Deterministic discrete-event scheduling: a hierarchical timer wheel
-//! and a FIFO ready queue.
+//! Deterministic discrete-event scheduling: a hierarchical timer wheel.
 //!
 //! The session gateway (`protocols::gateway`) historically stepped every
 //! active session on every tick, so an idle session waiting out a 3-tick
 //! ARQ timeout cost as much as one doing work. This module provides the
-//! primitives for an event-driven loop whose per-tick work is
-//! proportional to the number of *runnable* sessions:
-//!
-//! * [`TimerWheel`] — a hierarchical timing wheel (four levels of 64
-//!   slots, entries beyond the horizon parked in an overflow list) with
-//!   O(1) schedule/cancel and amortised O(1) per-tick advance. Timers
-//!   that expire on the same tick fire in schedule order (global
-//!   sequence numbers, not slot order, so cascading never perturbs
-//!   FIFO stability).
-//! * [`ReadyQueue`] — a duplicate-suppressing FIFO of runnable tokens.
+//! timer for an event-driven loop whose per-tick work is proportional
+//! to the number of *runnable* sessions: [`TimerWheel`], a hierarchical
+//! timing wheel (four levels of 64 slots, entries beyond the horizon
+//! parked in an overflow list) with O(1) schedule/cancel and amortised
+//! O(1) per-tick advance. Timers that expire on the same tick fire in
+//! schedule order (global sequence numbers, not slot order, so
+//! cascading never perturbs FIFO stability).
 //!
 //! Everything here is driven by an explicit simulated tick counter and
 //! contains no clocks, no hashing of addresses, and no randomness, so a
 //! schedule of events replays byte-identically at any
 //! `NEUROPULS_THREADS` setting.
-
-use std::collections::{HashSet, VecDeque};
 
 /// Number of slots per wheel level. 64 keeps slot indexing to a shift
 /// and mask (`deadline >> (6 * level) & 63`).
@@ -201,13 +195,6 @@ impl TimerWheel {
         }
     }
 
-    /// Advance the clock by exactly one tick; see
-    /// [`advance_to`](Self::advance_to).
-    pub fn advance(&mut self, out: &mut Vec<(u64, u64)>) {
-        let target = self.now + 1;
-        self.advance_to(target, out);
-    }
-
     /// Re-bucket entries whose covering level changes at this tick
     /// boundary. Called only when `tick % 64 == 0`.
     fn cascade_boundaries(&mut self, tick: u64) {
@@ -279,64 +266,6 @@ impl TimerWheel {
 impl Default for TimerWheel {
     fn default() -> Self {
         TimerWheel::new()
-    }
-}
-
-/// A FIFO queue of runnable tokens that suppresses duplicate enqueues.
-///
-/// The gateway uses one of these per tick phase: a token (slot/side
-/// pair) may become runnable both because a frame arrived and because
-/// its ARQ timer fired, but it must be stepped once, in the order it
-/// first became runnable.
-#[derive(Debug, Default)]
-pub struct ReadyQueue {
-    queue: VecDeque<u64>,
-    queued: HashSet<u64>,
-}
-
-impl ReadyQueue {
-    /// New empty queue.
-    pub fn new() -> Self {
-        ReadyQueue::default()
-    }
-
-    /// Enqueue `token` unless it is already queued. Returns `true` if
-    /// the token was inserted.
-    pub fn push(&mut self, token: u64) -> bool {
-        if self.queued.insert(token) {
-            self.queue.push_back(token);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Dequeue the oldest token.
-    pub fn pop(&mut self) -> Option<u64> {
-        let token = self.queue.pop_front()?;
-        self.queued.remove(&token);
-        Some(token)
-    }
-
-    /// True if `token` is currently queued.
-    pub fn contains(&self, token: u64) -> bool {
-        self.queued.contains(&token)
-    }
-
-    /// Number of queued tokens.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// True when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-
-    /// Drain every queued token, in FIFO order.
-    pub fn drain(&mut self) -> Vec<u64> {
-        self.queued.clear();
-        self.queue.drain(..).collect()
     }
 }
 
@@ -483,19 +412,6 @@ mod tests {
             .collect();
         assert_eq!(fired, schedule);
         assert!(wheel.is_empty());
-    }
-
-    #[test]
-    fn ready_queue_is_fifo_and_dedups() {
-        let mut queue = ReadyQueue::new();
-        assert!(queue.push(3));
-        assert!(queue.push(1));
-        assert!(!queue.push(3), "duplicate push must be suppressed");
-        assert_eq!(queue.len(), 2);
-        assert_eq!(queue.pop(), Some(3));
-        assert!(queue.push(3), "popped token can be re-queued");
-        assert_eq!(queue.drain(), vec![1, 3]);
-        assert!(queue.is_empty());
     }
 
     proptest! {

@@ -18,17 +18,21 @@
 //! * [`Histogram`] — fixed bucket boundaries, commutative
 //!   [`Histogram::merge`], and quantile estimates accurate to one
 //!   bucket width.
-//! * [`Registry`] — named scalars, distributions (the gem5
-//!   `name value # description` dump of the original system-crate
-//!   `StatRegistry`, folded in here), counters and histograms behind a
-//!   mutex, so shared aggregation needs only `&self`.
+//! * [`Registry`] — named scalars (the gem5 `name value # description`
+//!   dump of the original system-crate `StatRegistry`, folded in here),
+//!   counters and histograms behind a mutex, so shared aggregation
+//!   needs only `&self`.
 //!
-//! Determinism contract under threads: every Registry operation is
-//! commutative (counter adds, histogram/distribution records, scalar
-//! adds), so any interleaving of worker threads yields the same final
-//! state; ordered *event* logs must instead go through per-item tracers
-//! merged in input order. Both export deterministically (BTreeMap key
-//! order for the registry, insertion order for tracers).
+//! Determinism contract under threads: the integer state of a Registry
+//! (counter values, histogram counts and bucket counts) and histogram
+//! min/max do not depend on the order of operations, so any
+//! interleaving of worker threads yields the same values. The f64 sums
+//! (scalar [`Registry::add`], histogram sums) do depend on it: f64
+//! addition is not associative, so they are reproducible only when each
+//! unit of work records into its own registry and the caller merges
+//! those registries in input order. Ordered *event* logs likewise go through per-item
+//! tracers merged in input order. Both export deterministically
+//! (BTreeMap key order for the registry, insertion order for tracers).
 
 use crate::rng::{Error, RngCore};
 use std::collections::BTreeMap;
@@ -489,15 +493,10 @@ impl Histogram {
         self.max
     }
 
-    /// Per-bucket counts (`bounds().len() + 1` entries; the last is the
-    /// overflow bucket).
+    /// Per-bucket counts (one more than the bucket edges; the last is
+    /// the overflow bucket).
     pub fn bucket_counts(&self) -> &[u64] {
         &self.counts
-    }
-
-    /// The bucket upper edges.
-    pub fn bounds(&self) -> &[f64] {
-        &self.bounds
     }
 
     /// Quantile estimate: the upper edge of the bucket holding the
@@ -538,34 +537,22 @@ struct Scalar {
     description: String,
 }
 
-/// One distribution statistic (running moments + min/max).
-#[derive(Debug, Clone, Default)]
-struct Distribution {
-    count: u64,
-    sum: f64,
-    sum_sq: f64,
-    min: f64,
-    max: f64,
-    description: String,
-}
-
 #[derive(Debug, Clone, Default)]
 struct Inner {
     scalars: BTreeMap<String, Scalar>,
-    distributions: BTreeMap<String, Distribution>,
     counters: BTreeMap<String, u64>,
     histograms: BTreeMap<String, Histogram>,
 }
 
 /// The thread-safe metrics registry.
 ///
-/// Subsumes the old system-crate `StatRegistry` (same scalar /
-/// distribution API and the same gem5 `name value # description` dump
-/// format) and adds integer counters and fixed-boundary histograms.
-/// Every method takes `&self` — worker threads record into one shared
-/// registry — and every mutation commutes, so the final state is
-/// independent of interleaving. Exports walk `BTreeMap`s, so rendering
-/// order is deterministic too.
+/// Subsumes the old system-crate `StatRegistry` (same scalar API and
+/// the same gem5 `name value # description` dump format) and adds
+/// integer counters and fixed-boundary histograms. Every method takes
+/// `&self`, so worker threads can record into one shared registry;
+/// counts then match any serial order, but f64 sums match only when
+/// per-unit registries are merged in input order (module docs).
+/// Exports walk `BTreeMap`s, so rendering order is deterministic too.
 pub struct Registry {
     inner: Mutex<Inner>,
 }
@@ -589,7 +576,6 @@ impl std::fmt::Debug for Registry {
         let inner = self.snapshot();
         f.debug_struct("Registry")
             .field("scalars", &inner.scalars.len())
-            .field("distributions", &inner.distributions.len())
             .field("counters", &inner.counters.len())
             .field("histograms", &inner.histograms.len())
             .finish()
@@ -617,7 +603,7 @@ impl Registry {
         self.lock().clone()
     }
 
-    // ---- gem5-style scalars and distributions (old StatRegistry) ----
+    // ---- gem5-style scalars (old StatRegistry) ----
 
     /// Increments a scalar counter, creating it on first use.
     pub fn add(&self, name: &str, amount: f64, description: &str) {
@@ -639,42 +625,9 @@ impl Registry {
         }
     }
 
-    /// Records a sample into a distribution.
-    pub fn sample(&self, name: &str, value: f64, description: &str) {
-        let mut inner = self.lock();
-        let entry = inner
-            .distributions
-            .entry(name.to_string())
-            .or_insert_with(|| Distribution {
-                min: f64::INFINITY,
-                max: f64::NEG_INFINITY,
-                description: description.to_string(),
-                ..Default::default()
-            });
-        entry.count += 1;
-        entry.sum += value;
-        entry.sum_sq += value * value;
-        entry.min = entry.min.min(value);
-        entry.max = entry.max.max(value);
-    }
-
     /// Reads a scalar (0.0 when absent).
     pub fn scalar(&self, name: &str) -> f64 {
         self.lock().scalars.get(name).map_or(0.0, |s| s.value)
-    }
-
-    /// Mean of a distribution (NaN when empty/absent).
-    pub fn mean(&self, name: &str) -> f64 {
-        self.lock()
-            .distributions
-            .get(name)
-            .filter(|d| d.count > 0)
-            .map_or(f64::NAN, |d| d.sum / d.count as f64)
-    }
-
-    /// Sample count of a distribution.
-    pub fn count(&self, name: &str) -> u64 {
-        self.lock().distributions.get(name).map_or(0, |d| d.count)
     }
 
     // ---- counters and histograms ----
@@ -693,18 +646,11 @@ impl Registry {
     /// Records `value` into the named histogram, creating it with
     /// [`Histogram::default_bounds`] on first use.
     pub fn observe(&self, name: &str, value: f64) {
-        self.observe_with(name, value, Histogram::default_bounds);
-    }
-
-    /// Records `value` into the named histogram, creating it with
-    /// `make()` on first use. All shards of one metric must use the
-    /// same boundaries or a later [`Registry::merge`] panics.
-    pub fn observe_with(&self, name: &str, value: f64, make: impl FnOnce() -> Histogram) {
         let mut inner = self.lock();
         inner
             .histograms
             .entry(name.to_string())
-            .or_insert_with(make)
+            .or_insert_with(Histogram::default_bounds)
             .record(value);
     }
 
@@ -723,11 +669,12 @@ impl Registry {
 
     // ---- aggregation and export ----
 
-    /// Folds `other` into `self`: scalars and counters add,
-    /// distributions and histograms merge. Commutative and
-    /// associative, so shards merged in any grouping agree. Scalars
-    /// written with [`Registry::set`] are summed like any other scalar;
-    /// set absolute values after merging, not before.
+    /// Folds `other` into `self`: scalars and counters add, histograms
+    /// merge. Counts agree whatever the merge order; f64 sums are
+    /// bit-reproducible only when shards are merged in a fixed order
+    /// (input order under the pool, module docs). Scalars written with
+    /// [`Registry::set`] are summed like any other scalar; set absolute
+    /// values after merging, not before.
     ///
     /// # Panics
     ///
@@ -742,22 +689,6 @@ impl Registry {
                 entry.description = s.description;
             }
         }
-        for (name, d) in theirs.distributions {
-            let entry = inner
-                .distributions
-                .entry(name)
-                .or_insert_with(|| Distribution {
-                    min: f64::INFINITY,
-                    max: f64::NEG_INFINITY,
-                    description: d.description.clone(),
-                    ..Default::default()
-                });
-            entry.count += d.count;
-            entry.sum += d.sum;
-            entry.sum_sq += d.sum_sq;
-            entry.min = entry.min.min(d.min);
-            entry.max = entry.max.max(d.max);
-        }
         for (name, v) in theirs.counters {
             *inner.counters.entry(name).or_insert(0) += v;
         }
@@ -771,31 +702,13 @@ impl Registry {
         }
     }
 
-    /// Renders the gem5-style dump: scalars, then distributions, then
-    /// counters and histogram summaries, each section in name order.
+    /// Renders the gem5-style dump: scalars, then counters, then
+    /// histogram summaries, each section in name order.
     pub fn dump(&self) -> String {
         let inner = self.snapshot();
         let mut out = String::from("---------- Begin Simulation Statistics ----------\n");
         for (name, s) in &inner.scalars {
             let _ = writeln!(out, "{name:<42} {:>14.4} # {}", s.value, s.description);
-        }
-        for (name, d) in &inner.distributions {
-            if d.count == 0 {
-                continue;
-            }
-            let mean = d.sum / d.count as f64;
-            let var = (d.sum_sq / d.count as f64 - mean * mean).max(0.0);
-            let _ = writeln!(
-                out,
-                "{:<42} {:>14.4} # {} (n={}, sd={:.4}, min={:.4}, max={:.4})",
-                format!("{name}::mean"),
-                mean,
-                d.description,
-                d.count,
-                var.sqrt(),
-                d.min,
-                d.max
-            );
         }
         for (name, v) in &inner.counters {
             let _ = writeln!(out, "{name:<42} {v:>14} # (counter)");
@@ -819,7 +732,7 @@ impl Registry {
     }
 
     /// Renders every metric as JSON Lines, one object per line, in
-    /// section order (scalars, distributions, counters, histograms)
+    /// section order (scalars, counters, histograms)
     /// and name order within a section. Deterministic.
     pub fn to_jsonl(&self) -> String {
         let inner = self.snapshot();
@@ -829,17 +742,6 @@ impl Registry {
             json_escape_into(&mut out, name);
             out.push_str("\",\"value\":");
             json_f64_into(&mut out, s.value);
-            out.push_str("}\n");
-        }
-        for (name, d) in &inner.distributions {
-            out.push_str("{\"type\":\"dist\",\"name\":\"");
-            json_escape_into(&mut out, name);
-            let _ = write!(out, "\",\"count\":{},\"sum\":", d.count);
-            json_f64_into(&mut out, d.sum);
-            out.push_str(",\"min\":");
-            json_f64_into(&mut out, if d.count == 0 { f64::NAN } else { d.min });
-            out.push_str(",\"max\":");
-            json_f64_into(&mut out, if d.count == 0 { f64::NAN } else { d.max });
             out.push_str("}\n");
         }
         for (name, v) in &inner.counters {
@@ -867,12 +769,6 @@ impl Registry {
             out.push_str("]}\n");
         }
         out
-    }
-
-    /// Clears all statistics.
-    pub fn reset(&self) {
-        let mut inner = self.lock();
-        *inner = Inner::default();
     }
 }
 
@@ -927,46 +823,6 @@ impl<R: RngCore> RngCore for CountingRng<R> {
         self.draws += 1;
         self.inner.try_fill_bytes(dest)
     }
-}
-
-// ---------------------------------------------------------------------------
-// Macros
-// ---------------------------------------------------------------------------
-
-/// Adds to a [`Registry`](crate::trace::Registry) counter:
-/// `counter!(reg, "name")` adds 1, `counter!(reg, "name", n)` adds `n`.
-#[macro_export]
-macro_rules! counter {
-    ($reg:expr, $name:expr) => {
-        $reg.counter($name, 1)
-    };
-    ($reg:expr, $name:expr, $amount:expr) => {
-        $reg.counter($name, $amount)
-    };
-}
-
-/// Records a sample into a [`Registry`](crate::trace::Registry)
-/// histogram (default boundaries on first use).
-#[macro_export]
-macro_rules! histogram {
-    ($reg:expr, $name:expr, $value:expr) => {
-        $reg.observe($name, $value as f64)
-    };
-}
-
-/// Records a complete span on a [`Tracer`](crate::trace::Tracer):
-/// `trace_span!(tracer, start_tick, end_tick, "name", "key" => value, ...)`.
-/// Fields attach to the start event.
-#[macro_export]
-macro_rules! trace_span {
-    ($tracer:expr, $start:expr, $end:expr, $name:expr $(, $k:expr => $v:expr)* $(,)?) => {{
-        let __span = $tracer.span_start(
-            $start,
-            $name,
-            vec![$(($k, $crate::trace::Value::from($v))),*],
-        );
-        $tracer.span_end($end, __span, vec![]);
-    }};
 }
 
 #[cfg(test)]
@@ -1126,10 +982,10 @@ mod tests {
     #[test]
     fn registry_counters_and_histograms() {
         let reg = Registry::new();
-        crate::counter!(reg, "wire.frames");
-        crate::counter!(reg, "wire.frames", 4);
-        crate::histogram!(reg, "lat", 3.0);
-        crate::histogram!(reg, "lat", 5.0);
+        reg.counter("wire.frames", 1);
+        reg.counter("wire.frames", 4);
+        reg.observe("lat", 3.0);
+        reg.observe("lat", 5.0);
         assert_eq!(reg.counter_value("wire.frames"), 5);
         assert_eq!(reg.histogram("lat").unwrap().count(), 2);
         assert!((reg.histogram("lat").unwrap().mean() - 4.0).abs() < 1e-12);
@@ -1139,17 +995,17 @@ mod tests {
     fn registry_preserves_gem5_dump_shape() {
         let reg = Registry::new();
         reg.add("sim.ticks", 100.0, "simulated ticks");
-        reg.sample("puf.latency", 6.0, "per-eval latency");
+        reg.observe("puf.latency", 6.0);
         reg.counter("bus.reads", 3);
         let dump = reg.dump();
         assert!(dump.contains("sim.ticks"));
-        assert!(dump.contains("puf.latency::mean"));
+        assert!(dump.contains("puf.latency::p50"));
         assert!(dump.contains("bus.reads"));
         assert!(dump.contains("Begin Simulation Statistics"));
     }
 
     #[test]
-    fn registry_scalars_and_distributions_keep_gem5_semantics() {
+    fn registry_scalars_keep_gem5_semantics() {
         let reg = Registry::new();
         reg.add("cpu.instructions", 10.0, "retired instructions");
         reg.add("cpu.instructions", 5.0, "retired instructions");
@@ -1157,17 +1013,7 @@ mod tests {
         reg.add("x", 3.0, "");
         reg.set("x", 1.0, "");
         assert_eq!(reg.scalar("x"), 1.0);
-        for v in [1.0, 2.0, 3.0] {
-            reg.sample("lat", v, "latency");
-        }
-        assert_eq!(reg.count("lat"), 3);
-        assert!((reg.mean("lat") - 2.0).abs() < 1e-12);
         assert_eq!(reg.scalar("nothing"), 0.0);
-        assert!(reg.mean("nothing").is_nan());
-        assert_eq!(reg.count("nothing"), 0);
-        reg.reset();
-        assert_eq!(reg.scalar("cpu.instructions"), 0.0);
-        assert_eq!(reg.count("lat"), 0);
     }
 
     #[test]
@@ -1180,14 +1026,10 @@ mod tests {
         b.counter("c", 7);
         a.observe("h", 2.0);
         b.observe("h", 1000.0);
-        a.sample("d", 1.0, "");
-        b.sample("d", 3.0, "");
         a.merge(&b);
         assert_eq!(a.scalar("x"), 3.0);
         assert_eq!(a.counter_value("c"), 12);
         assert_eq!(a.histogram("h").unwrap().count(), 2);
-        assert_eq!(a.count("d"), 2);
-        assert!((a.mean("d") - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -1205,6 +1047,33 @@ mod tests {
     }
 
     #[test]
+    fn registry_exports_are_pinned() {
+        // Known answers for both export formats: one described scalar,
+        // one counter and one histogram.
+        let reg = Registry::new();
+        reg.set("sim.ticks", 1234.5, "simulated ticks");
+        reg.counter("bus.reads", 3);
+        for v in [3.0, 5.0, 1000.0] {
+            reg.observe("puf.latency", v);
+        }
+        assert_eq!(
+            reg.dump(),
+            "---------- Begin Simulation Statistics ----------\n\
+             sim.ticks                                       1234.5000 # simulated ticks\n\
+             bus.reads                                               3 # (counter)\n\
+             puf.latency::p50                                   8.0000 # (histogram: n=3, mean=336.0000, p99=1000.0000)\n\
+             ---------- End Simulation Statistics   ----------\n"
+        );
+        assert_eq!(
+            reg.to_jsonl(),
+            "{\"type\":\"scalar\",\"name\":\"sim.ticks\",\"value\":1234.5}\n\
+             {\"type\":\"counter\",\"name\":\"bus.reads\",\"value\":3}\n\
+             {\"type\":\"histogram\",\"name\":\"puf.latency\",\"count\":3,\"sum\":1008,\
+             \"min\":3,\"max\":1000,\"counts\":[0,0,1,1,0,0,0,0,0,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}\n"
+        );
+    }
+
+    #[test]
     fn counting_rng_preserves_the_stream() {
         let mut plain = StdRng::seed_from_u64(5);
         let mut counted = CountingRng::new(StdRng::seed_from_u64(5));
@@ -1215,16 +1084,5 @@ mod tests {
         let mut buf = [0u8; 16];
         counted.fill_bytes(&mut buf);
         assert_eq!(counted.draws(), 11);
-    }
-
-    #[test]
-    fn trace_span_macro_records_start_and_end() {
-        let mut t = Tracer::new();
-        crate::trace_span!(t, 10, 20, "work", "device" => 3usize, "ok" => true);
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.events()[0].kind, EventKind::SpanStart);
-        assert_eq!(t.events()[1].kind, EventKind::SpanEnd);
-        assert_eq!(t.events()[0].tick, 10);
-        assert_eq!(t.events()[1].tick, 20);
     }
 }

@@ -1,14 +1,15 @@
 //! Property tests for the `neuropuls_rt::trace` histogram and registry.
 //!
 //! Pinned by CI as `cargo test -q -p neuropuls-rt --test trace`. The
-//! three properties the observability layer's determinism contract
-//! rests on:
+//! properties the observability layer's determinism contract rests on:
 //!
 //! 1. histogram merge is commutative: merge(a, b) == merge(b, a);
 //! 2. bucket counts are conserved when shards are aggregated under
 //!    `pool::par_map`, regardless of thread count;
 //! 3. quantile estimates are within one bucket width of the exact
-//!    order statistic for seeded in-range inputs.
+//!    order statistic for seeded in-range inputs;
+//! 4. per-shard registries merged in input order export the same
+//!    bytes, f64 sums included, at any thread count.
 
 use neuropuls_rt::pool;
 use neuropuls_rt::prelude::*;
@@ -114,7 +115,8 @@ proptest! {
         per_shard in 1usize..100,
     ) {
         // Shared registry written from par_map workers must agree with
-        // a serial recording: every op commutes.
+        // a serial recording on every count; the f64 histogram sum
+        // depends on the interleaving, so it is not compared.
         let shared = Registry::new();
         let items: Vec<u64> = (0..shards as u64).collect();
         pool::par_map(items.clone(), |s| {
@@ -138,6 +140,34 @@ proptest! {
         prop_assert_eq!(a.bucket_counts(), b.bucket_counts());
         prop_assert_eq!(a.count(), b.count());
     }
+}
+
+#[test]
+fn registry_merge_in_input_order_is_thread_count_independent() {
+    // Each shard records into its own registry; merging them in input
+    // order fixes the order of every f64 addition, so the export,
+    // scalar and histogram sums included, is byte-identical.
+    let export = |threads| {
+        pool::with_threads(threads, || {
+            let shards = pool::par_map((0..32u64).collect(), |s| {
+                let reg = Registry::new();
+                let mut rng = neuropuls_rt::rngs::StdRng::seed_from_u64(s);
+                for _ in 0..50 {
+                    let v = rng.gen_range(0.0..1.0e4);
+                    reg.counter("events", 1);
+                    reg.add("energy", v * 1.0e-3, "energy");
+                    reg.observe("lat", v);
+                }
+                reg
+            });
+            let merged = Registry::new();
+            for reg in &shards {
+                merged.merge(reg);
+            }
+            merged.to_jsonl()
+        })
+    };
+    assert_eq!(export(1), export(8));
 }
 
 #[test]

@@ -167,32 +167,6 @@ proptest! {
     }
 
     #[test]
-    fn bch_corrects_up_to_three_random_errors(msg in prop::collection::vec(0u8..2, 1..8),
-                                              error_seed in any::<u64>()) {
-        use neuropuls::crypto::bch::Bch15_5;
-        let mut data = msg;
-        while data.len() % 5 != 0 { data.push(0); }
-        let code = Bch15_5::new();
-        let mut coded = code.encode(&data).unwrap();
-        // Up to 3 distinct error positions per 15-bit block.
-        let blocks = coded.len() / 15;
-        let mut s = error_seed;
-        for b in 0..blocks {
-            let mut positions = std::collections::HashSet::new();
-            let count = (s % 4) as usize;
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
-            while positions.len() < count {
-                positions.insert((s % 15) as usize);
-                s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
-            }
-            for p in positions {
-                coded[b * 15 + p] ^= 1;
-            }
-        }
-        prop_assert_eq!(code.decode(&coded).unwrap(), data);
-    }
-
-    #[test]
     fn secure_sketch_recovers_within_capacity(bits in prop::collection::vec(0u8..2, 1..6),
                                               flips in prop::collection::vec(any::<usize>(), 0..4)) {
         use neuropuls::crypto::ecc::ConcatenatedCode;
