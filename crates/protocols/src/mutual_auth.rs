@@ -279,6 +279,9 @@ impl<P: Puf> Device<P> {
 #[derive(Debug)]
 pub struct Verifier {
     state: ProvisionedVerifier,
+    /// Device nonces accepted under the live `previous_response`, the
+    /// only older key a device MAC can still verify under (see
+    /// [`Self::process_device_auth`]).
     seen_device_nonces: Vec<[u8; 16]>,
     rng: CsPrng,
     desync_recoveries: u64,
@@ -304,6 +307,9 @@ impl Verifier {
 
     /// Storage the verifier needs, in bytes — one CRP regardless of how
     /// many sessions run (compare experiment E4's database baseline).
+    /// The replay log is bounded too: it holds only the nonces accepted
+    /// under the stored previous response, so it does not grow with the
+    /// number of completed sessions.
     pub fn storage_bytes(&self) -> usize {
         let r = self.state.current_response.len().div_ceil(8);
         r + self
@@ -379,10 +385,16 @@ impl Verifier {
         let r_next = masked.xor(&r_i);
         let c_next = derive_challenge(&r_i, CHALLENGE_WIDTH);
 
-        self.seen_device_nonces.push(msg.device_nonce);
+        // The MAC binds this session's fresh verifier nonce, and only the
+        // current and previous responses can verify one. An acceptance
+        // under the current response makes it the new previous, so every
+        // nonce logged under the old previous can never verify again.
         if via_previous {
             self.desync_recoveries += 1;
+        } else {
+            self.seen_device_nonces.clear();
         }
+        self.seen_device_nonces.push(msg.device_nonce);
 
         let mac = HmacSha256::mac_parts(
             &r_next.to_packed(),
@@ -835,6 +847,42 @@ mod tests {
         let request2 = verifier.begin_session();
         let err = verifier.process_device_auth(&request2, &msg).unwrap_err();
         assert_eq!(err, ProtocolError::Replay);
+    }
+
+    #[test]
+    fn message_from_before_a_rotation_is_rejected() {
+        let (mut device, mut verifier) = pair(12);
+        let request = verifier.begin_session();
+        let old = device.respond_to_request(&request).unwrap();
+        let confirm = verifier.process_device_auth(&request, &old).unwrap();
+        device.process_confirmation(&confirm).unwrap();
+        run_session(&mut device, &mut verifier).unwrap();
+        // The second session cleared `old`'s nonce from the log; its MAC
+        // binds a dead verifier nonce under a retired key.
+        let request3 = verifier.begin_session();
+        assert!(verifier.process_device_auth(&request3, &old).is_err());
+    }
+
+    #[test]
+    fn replay_log_holds_only_the_live_previous_key_nonces() {
+        let (mut device, mut verifier) = pair(13);
+        for _ in 0..6 {
+            run_session(&mut device, &mut verifier).unwrap();
+            assert_eq!(verifier.seen_device_nonces.len(), 1);
+        }
+        // Consecutive lost confirmations: each retry is accepted via the
+        // previous response and only appends.
+        for lost in 1..=3 {
+            let request = verifier.begin_session();
+            let msg = device.respond_to_request(&request).unwrap();
+            verifier.process_device_auth(&request, &msg).unwrap();
+            device.abort_session();
+            assert!(verifier.seen_device_nonces.len() as u64 <= 1 + verifier.desync_recoveries());
+            assert_eq!(verifier.seen_device_nonces.len(), lost);
+        }
+        run_session(&mut device, &mut verifier).unwrap();
+        run_session(&mut device, &mut verifier).unwrap();
+        assert_eq!(verifier.seen_device_nonces.len(), 1);
     }
 
     #[test]
