@@ -11,7 +11,7 @@ use crate::config::{ConfigCodecError, NetworkConfig};
 use neuropuls_photonic::laser::gaussian;
 use neuropuls_rt::rng::SplitMix64;
 use neuropuls_rt::rngs::{SmallRng, StdRng};
-use neuropuls_rt::{Rng, SeedableRng};
+use neuropuls_rt::SeedableRng;
 
 /// Analog non-idealities of the crossbar.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -304,7 +304,7 @@ impl PhotonicEngine {
     }
 
     /// Runs one inference with an explicit noise seed, using the
-    /// batched noise rule (fast per-item generator, polar Gaussian).
+    /// batched noise rule (a fast per-item generator).
     ///
     /// This is the sequential reference for [`Self::infer_batch`]:
     /// `infer_batch(&inputs)[i]` equals
@@ -415,40 +415,6 @@ fn derive_item_seed(noise_seed: u64, epoch: u64, index: u64) -> u64 {
     inner.next()
 }
 
-/// Per-item Gaussian source for the batched path: a fast xoshiro
-/// generator feeding the Marsaglia polar transform, keeping the spare
-/// sample of each pair (the Box–Muller path in `laser::gaussian`
-/// discards its sine half and runs on ChaCha20).
-struct PolarGaussian {
-    rng: SmallRng,
-    spare: Option<f64>,
-}
-
-impl PolarGaussian {
-    fn new(seed: u64) -> Self {
-        PolarGaussian {
-            rng: SmallRng::seed_from_u64(seed),
-            spare: None,
-        }
-    }
-
-    fn next(&mut self) -> f64 {
-        if let Some(s) = self.spare.take() {
-            return s;
-        }
-        loop {
-            let u = 2.0 * self.rng.gen::<f64>() - 1.0;
-            let v = 2.0 * self.rng.gen::<f64>() - 1.0;
-            let s = u * u + v * v;
-            if s > 0.0 && s < 1.0 {
-                let k = (-2.0 * s.ln() / s).sqrt();
-                self.spare = Some(v * k);
-                return u * k;
-            }
-        }
-    }
-}
-
 /// Forward pass over pre-scaled weights with the batched noise rule.
 /// Returns the output activations and the MAC count.
 fn forward_fast(
@@ -459,7 +425,7 @@ fn forward_fast(
     noise_seed: u64,
 ) -> (Vec<f64>, u64) {
     let noisy = mac_noise != 0.0;
-    let mut noise = PolarGaussian::new(noise_seed);
+    let mut rng = SmallRng::seed_from_u64(noise_seed);
     let mut activations: Vec<f64> = input.to_vec();
     let mut macs = 0u64;
     for (layer, weights) in config.layers.iter().zip(scaled.iter()) {
@@ -469,7 +435,7 @@ fn forward_fast(
             let row = &weights[o * layer.inputs..(o + 1) * layer.inputs];
             if noisy {
                 for (&w, &a) in row.iter().zip(activations.iter()) {
-                    acc += w * a * (1.0 + mac_noise * noise.next());
+                    acc += w * a * (1.0 + mac_noise * gaussian(&mut rng));
                 }
             } else {
                 for (&w, &a) in row.iter().zip(activations.iter()) {
@@ -685,7 +651,7 @@ mod tests {
     #[test]
     fn noisy_model_rng_stream_is_pinned() {
         // The scalar path's noise stream is part of the golden wire
-        // transcripts: one Box–Muller draw from the engine's ChaCha20
+        // transcripts: one `laser::gaussian` draw from the engine's ChaCha20
         // stream per MAC, applied as `acc += w * a * (1 + σ·g)`.
         // Recompute that definition independently and require an exact
         // match, so refactors cannot silently shift the stream.

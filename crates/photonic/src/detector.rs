@@ -49,10 +49,16 @@ impl Photodiode {
     pub fn detect<R: Rng>(&self, field: Complex64, rng: &mut R) -> f64 {
         // |E|² in mW × responsivity (A/W) → mA; convert to µA.
         let signal_ua = field.norm_sqr() * self.responsivity * 1000.0;
-        let shot =
-            SHOT_SIGMA_UA_PER_SQRT_UA * signal_ua.max(0.0).sqrt() * self.shot_noise * gaussian(rng);
-        let thermal = self.thermal_noise_ua * gaussian(rng);
-        (signal_ua + self.dark_current_ua + shot + thermal).max(0.0)
+        // Shot and thermal noise are independent zero-mean Gaussians
+        // both added before the clamp, so their sum is one Gaussian of
+        // variance σ_shot² + σ_thermal².
+        let shot_var = SHOT_SIGMA_UA_PER_SQRT_UA
+            * SHOT_SIGMA_UA_PER_SQRT_UA
+            * signal_ua.max(0.0)
+            * self.shot_noise
+            * self.shot_noise;
+        let sigma = (shot_var + self.thermal_noise_ua * self.thermal_noise_ua).sqrt();
+        (signal_ua + self.dark_current_ua + sigma * gaussian(rng)).max(0.0)
     }
 
     /// Noise-free detection (for analytic comparisons and enrollment
@@ -203,6 +209,7 @@ impl Default for ReceiveChain {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::laser::oracles::box_muller;
     use neuropuls_rt::rngs::StdRng;
     use neuropuls_rt::SeedableRng;
 
@@ -277,6 +284,89 @@ mod tests {
         let second = tia.amplify(100.0, &env, &mut rng);
         assert!(first < second, "one-pole response must approach target");
         assert!(second < 100.0 * 5.0 + 1.0);
+    }
+
+    /// The chain's code before the shot and thermal draws merged and
+    /// the ziggurat replaced Box–Muller: three draws per sample.
+    fn sample_box_muller<R: Rng>(
+        chain: &mut ReceiveChain,
+        field: Complex64,
+        env: &Environment,
+        rng: &mut R,
+    ) -> u32 {
+        let pd = chain.pd;
+        let signal_ua = field.norm_sqr() * pd.responsivity * 1000.0;
+        let shot = SHOT_SIGMA_UA_PER_SQRT_UA * signal_ua.max(0.0).sqrt() * pd.shot_noise;
+        let current = (signal_ua
+            + pd.dark_current_ua
+            + shot * box_muller(rng)
+            + pd.thermal_noise_ua * box_muller(rng))
+        .max(0.0);
+        let tia = &mut chain.tia;
+        let gain = tia.gain_kohm * (1.0 + 0.1 * env.supply_deviation);
+        let target = (current + tia.input_noise_ua * box_muller(rng)) * gain;
+        tia.state_mv += tia.bandwidth_fraction.clamp(0.0, 1.0) * (target - tia.state_mv);
+        chain.adc.quantize(tia.state_mv)
+    }
+
+    /// Per-code frequencies of `n` samples of a constant field, after a
+    /// burn-in that lets the TIA settle.
+    fn code_histogram(
+        n: usize,
+        mut sample: impl FnMut(&mut ReceiveChain) -> u32,
+    ) -> (Vec<f64>, f64) {
+        let mut chain = ReceiveChain::new();
+        for _ in 0..32 {
+            sample(&mut chain);
+        }
+        let mut counts = vec![0.0; chain.adc.codes() as usize];
+        let mut sum = 0.0;
+        for _ in 0..n {
+            let code = sample(&mut chain);
+            counts[code as usize] += 1.0;
+            sum += f64::from(code);
+        }
+        (
+            counts.iter().map(|c| c / n as f64).collect(),
+            sum / n as f64,
+        )
+    }
+
+    #[test]
+    fn merged_noise_matches_the_three_draw_chain() {
+        const N: usize = 100_000;
+        let env = Environment::nominal();
+        // Near dark (0.37 µA mean against σ ≈ 0.3 µA: the clamp binds on
+        // ~10% of samples, codes 0 and 1 both common), mid-scale, bright.
+        for (level, amplitude) in [0.02, 0.1, 0.3].into_iter().enumerate() {
+            let field = Complex64::new(amplitude, 0.0);
+            let mut old_rng = StdRng::seed_from_u64(40 + level as u64);
+            let mut new_rng = StdRng::seed_from_u64(50 + level as u64);
+            let (old, old_mean) = code_histogram(N, |chain| {
+                sample_box_muller(chain, field, &env, &mut old_rng)
+            });
+            let (new, new_mean) =
+                code_histogram(N, |chain| chain.sample(field, &env, &mut new_rng));
+            let tv: f64 = old
+                .iter()
+                .zip(&new)
+                .map(|(a, b)| (a - b).abs())
+                .sum::<f64>()
+                / 2.0;
+            assert!(tv < 0.015, "field {amplitude}: total variation {tv}");
+            assert!(
+                (old_mean - new_mean).abs() < 0.02,
+                "field {amplitude}: mean code {old_mean} vs {new_mean}"
+            );
+            if level == 0 {
+                assert!(
+                    new[0] > 0.05 && new[1] > 0.05,
+                    "codes 0/1: {} {}",
+                    new[0],
+                    new[1]
+                );
+            }
+        }
     }
 
     #[test]

@@ -135,7 +135,7 @@ impl DieSampler {
         factor.clamp(0.0, 1.0)
     }
 
-    /// Draws a standard Gaussian via Box–Muller.
+    /// Draws a standard Gaussian ([`crate::laser::gaussian`]).
     pub fn gaussian(&mut self) -> f64 {
         crate::laser::gaussian(&mut self.rng)
     }
@@ -223,15 +223,19 @@ mod tests {
                 0x1334_908c_454e_e927,
             ]
         );
+        // Each of these ziggurat draws lands inside its layer's inner
+        // box, so it consumes exactly the raw word above it: layers 2,
+        // 51, 33 and 39 (low 7 bits), sign from bit 7, abscissa from the
+        // top 53 bits.
         let mut gauss = DieSampler::new(DieId(42), ProcessVariation::typical_soi());
         let draws: Vec<u64> = (0..4).map(|_| gauss.gaussian().to_bits()).collect();
         assert_eq!(
             draws,
             [
-                0xbfe0_31ee_e637_7160,
-                0x3ff8_812d_8f00_260c,
-                0xbfce_ee83_475f_13ef,
-                0x3ff5_81d4_3b1f_d506,
+                0xc005_87df_8453_8aaf,
+                0xbff0_34aa_4ad1_3920,
+                0xbfdd_4cfd_b6c0_4f35,
+                0x3fc2_4269_22d3_5b5c,
             ]
         );
     }

@@ -19,6 +19,18 @@
 //! they are the "threshold dependent on the amplitude of the photocurrent
 //! read at the PD" that §II-B adapts the Vinagrero filtering method to.
 //!
+//! # Noisy reads
+//!
+//! The modulator multiplies the carrier by a fixed symbol per bit and
+//! the mesh is linear, so a read's fields are the unit-carrier fields
+//! times that read's noisy carrier (RIN and a random optical phase).
+//! A read propagates the burst on a unit carrier, then scales each
+//! field by its carrier on the way into the receive chain. The
+//! [`Puf::respond_golden`] majority vote propagates once and runs its
+//! reads over the same fields; each read draws the same noise and does
+//! the same arithmetic as a single [`Puf::respond`], so the vote is bit
+//! for bit the majority of that many separate reads.
+//!
 //! # Noise-free reads
 //!
 //! The §III-B attestation walk chains one noise-free read per memory
@@ -60,8 +72,8 @@ use neuropuls_photonic::modulator::MachZehnderModulator;
 use neuropuls_photonic::process::{DieId, DieSampler, ProcessVariation};
 use neuropuls_photonic::Environment;
 use neuropuls_rt::rngs::StdRng;
-use neuropuls_rt::trace::CountingRng;
 use neuropuls_rt::SeedableRng;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Construction parameters of a photonic PUF instance.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -122,9 +134,10 @@ pub struct PhotonicPuf {
     modulator: MachZehnderModulator,
     mesh: ScramblerMesh,
     chains: Vec<ReceiveChain>,
-    pairs: Vec<ComparePair>,
+    /// Shared by every PUF of the same configuration ([`Self::shared_plan`]).
+    pairs: Arc<[ComparePair]>,
     env: Environment,
-    rng: CountingRng<StdRng>,
+    rng: StdRng,
     /// Noisy interrogations performed ([`Self::respond_with_margins`]
     /// completions).
     evaluations: u64,
@@ -156,7 +169,7 @@ impl PhotonicPuf {
         let modulator = MachZehnderModulator::sampled(&mut sampler);
         let mesh = ScramblerMesh::build(config.mesh, &mut sampler);
         let chains = vec![ReceiveChain::new(); config.mesh.channels];
-        let pairs = Self::comparison_plan(&config);
+        let pairs = Self::shared_plan(&config);
         PhotonicPuf {
             die,
             config,
@@ -166,7 +179,7 @@ impl PhotonicPuf {
             chains,
             pairs,
             env: Environment::nominal(),
-            rng: CountingRng::new(StdRng::seed_from_u64(noise_seed ^ die.0.rotate_left(17))),
+            rng: StdRng::seed_from_u64(noise_seed ^ die.0.rotate_left(17)),
             evaluations: 0,
             aging_epoch: 0,
         }
@@ -190,6 +203,27 @@ impl PhotonicPuf {
     /// The configuration.
     pub fn config(&self) -> &PhotonicPufConfig {
         &self.config
+    }
+
+    /// The comparison plan of `config`, built on first use and shared by
+    /// every PUF fabricated with that configuration: a fleet would
+    /// otherwise hold one identical ~4 KiB copy per die.
+    fn shared_plan(config: &PhotonicPufConfig) -> Arc<[ComparePair]> {
+        type Key = (usize, usize, usize, usize);
+        static PLANS: Mutex<Vec<(Key, Arc<[ComparePair]>)>> = Mutex::new(Vec::new());
+        let key = (
+            config.mesh.channels,
+            config.challenge_bits,
+            config.flush_samples,
+            config.response_bits,
+        );
+        let mut plans = PLANS.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some((_, plan)) = plans.iter().find(|(k, _)| *k == key) {
+            return Arc::clone(plan);
+        }
+        let plan: Arc<[ComparePair]> = Self::comparison_plan(config).into();
+        plans.push((key, Arc::clone(&plan)));
+        plan
     }
 
     /// The comparison plan is *public* (part of the device datasheet):
@@ -263,24 +297,35 @@ impl PhotonicPuf {
         &mut self,
         challenge: &Challenge,
     ) -> Result<(Response, Vec<f64>), PufError> {
-        // One noisy interrogation: noisy carrier, modulator, mesh, then
-        // every port's receive chain in port order.
         self.check_width(challenge)?;
-        let carrier = self.laser.noisy_carrier(&self.env, &mut self.rng);
+        let fields = self.unit_carrier_fields(challenge);
+        Ok(self.noisy_read(&fields))
+    }
+
+    /// The mesh output of `challenge`'s burst on a unit carrier. The
+    /// modulator and the mesh are linear in the carrier, so a read's
+    /// fields are these times its noisy carrier (module docs, "Noisy
+    /// reads").
+    fn unit_carrier_fields(&self, challenge: &Challenge) -> Vec<Vec<Complex64>> {
         let waveform = self
             .modulator
-            .modulate(carrier, challenge.bits(), &self.env);
-        let outputs = self
-            .mesh
-            .propagate(&waveform, self.config.flush_samples, &self.env);
-        let codes: Vec<Vec<u32>> = outputs
+            .modulate(Complex64::ONE, challenge.bits(), &self.env);
+        self.mesh
+            .propagate(&waveform, self.config.flush_samples, &self.env)
+    }
+
+    /// One noisy interrogation of the unit-carrier `fields`: a noisy
+    /// carrier, then every port's receive chain in port order, AC
+    /// coupling and the XOR fold. Returns the bits and the margins.
+    fn noisy_read(&mut self, fields: &[Vec<Complex64>]) -> (Response, Vec<f64>) {
+        let carrier = self.laser.noisy_carrier(&self.env, &mut self.rng);
+        let codes: Vec<Vec<u32>> = fields
             .iter()
             .zip(&mut self.chains)
-            .map(|(fields, chain)| {
+            .map(|(port, chain)| {
                 chain.reset();
-                fields
-                    .iter()
-                    .map(|&f| chain.sample(f, &self.env, &mut self.rng))
+                port.iter()
+                    .map(|&f| chain.sample(carrier * f, &self.env, &mut self.rng))
                     .collect()
             })
             .collect();
@@ -307,7 +352,7 @@ impl PhotonicPuf {
             let magnitude = d0.abs().min(d1.abs());
             margins.push(if bit == 1 { magnitude } else { -magnitude });
         }
-        Ok((Response::from_bits(bits), margins))
+        (Response::from_bits(bits), margins)
     }
 
     /// Noisy interrogations performed so far (successful
@@ -315,14 +360,6 @@ impl PhotonicPuf {
     /// not counted).
     pub fn evaluations(&self) -> u64 {
         self.evaluations
-    }
-
-    /// Cumulative draws taken from the measurement-noise stream. Divided
-    /// by [`Self::evaluations`] this is the per-interrogation noise cost
-    /// of the receiver model — a cheap instrumentation hook that leaves
-    /// the underlying RNG stream untouched.
-    pub fn noise_draws(&self) -> u64 {
-        self.rng.draws()
     }
 
     /// Noise-free deterministic evaluation — the "ideally reliable
@@ -435,6 +472,22 @@ impl Puf for PhotonicPuf {
         self.respond_with_margins(challenge).map(|(r, _)| r)
     }
 
+    /// One mesh propagation for all `reads` noisy reads: bit for bit the
+    /// majority of `reads` [`Puf::respond`] calls, since each read draws
+    /// the same noise and does the same arithmetic over the same
+    /// unit-carrier fields.
+    fn respond_golden(
+        &mut self,
+        challenge: &Challenge,
+        reads: usize,
+    ) -> Result<Response, PufError> {
+        assert!(reads > 0, "golden response needs at least one read");
+        self.check_width(challenge)?;
+        let fields = self.unit_carrier_fields(challenge);
+        let readings: Vec<Response> = (0..reads).map(|_| self.noisy_read(&fields).0).collect();
+        Ok(Response::majority(&readings))
+    }
+
     fn set_environment(&mut self, env: Environment) {
         self.env = env;
     }
@@ -526,7 +579,7 @@ impl DeterministicReader<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use neuropuls_rt::Rng;
+    use neuropuls_rt::{Rng, RngCore};
 
     fn puf(die: u64) -> PhotonicPuf {
         PhotonicPuf::reference(DieId(die), 1000 + die)
@@ -538,26 +591,52 @@ mod tests {
     }
 
     #[test]
-    fn instrumentation_counts_evaluations_and_noise_draws() {
+    fn instrumentation_counts_evaluations() {
         let mut p = puf(70);
         assert_eq!(p.evaluations(), 0);
-        assert_eq!(p.noise_draws(), 0);
         p.respond_with_margins(&challenge(1)).unwrap();
-        let after_one = p.noise_draws();
         assert_eq!(p.evaluations(), 1);
-        assert!(after_one > 0, "a noisy interrogation must draw noise");
         p.respond_with_margins(&challenge(2)).unwrap();
         assert_eq!(p.evaluations(), 2);
-        assert_eq!(
-            p.noise_draws(),
-            2 * after_one,
-            "the per-evaluation draw count is fixed by the receiver model"
-        );
-        // A rejected challenge consumes neither counter.
+        // A golden read counts each of its reads.
+        p.respond_golden(&challenge(3), 5).unwrap();
+        assert_eq!(p.evaluations(), 7);
+        // A rejected challenge is not counted.
         let narrow = Challenge::random(8, &mut StdRng::seed_from_u64(3));
         assert!(p.respond_with_margins(&narrow).is_err());
-        assert_eq!(p.evaluations(), 2);
-        assert_eq!(p.noise_draws(), 2 * after_one);
+        assert!(p.respond_golden(&narrow, 5).is_err());
+        assert_eq!(p.evaluations(), 7);
+    }
+
+    #[test]
+    fn golden_read_is_the_majority_of_single_reads() {
+        // One propagation per golden read must not change a bit: the
+        // same draws and arithmetic as `reads` separate responds.
+        let mut rng = StdRng::seed_from_u64(0x601D);
+        let mut checked = 0;
+        for die in 0..8 {
+            let mut golden = PhotonicPuf::reference(DieId(5000 + die), die);
+            for i in 0..125 {
+                if i == 60 {
+                    golden.set_environment(Environment::at_temperature(40.0));
+                }
+                let c = Challenge::random(64, &mut rng);
+                let mut single = golden.clone();
+                let reads: Vec<Response> = (0..5).map(|_| single.respond(&c).unwrap()).collect();
+                assert_eq!(
+                    golden.respond_golden(&c, 5).unwrap(),
+                    Response::majority(&reads),
+                    "die {die} challenge {i}"
+                );
+                assert_eq!(
+                    golden.rng.next_u64(),
+                    single.rng.next_u64(),
+                    "die {die} challenge {i}: noise stream"
+                );
+                checked += 1;
+            }
+        }
+        assert_eq!(checked, 1000);
     }
 
     #[test]

@@ -34,7 +34,6 @@
 //! tracers merged in input order. Both export deterministically
 //! (BTreeMap key order for the registry, insertion order for tracers).
 
-use crate::rng::{Error, RngCore};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Mutex;
@@ -772,59 +771,6 @@ impl Registry {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Noise-draw accounting
-// ---------------------------------------------------------------------------
-
-/// A pass-through [`RngCore`] wrapper that counts draws without
-/// perturbing the stream — each `next_u32`/`next_u64`/`fill_bytes`
-/// call is one draw. Wraps a model's RNG so "noise draws per
-/// evaluation" becomes a measurable metric.
-#[derive(Debug, Clone)]
-pub struct CountingRng<R> {
-    inner: R,
-    draws: u64,
-}
-
-impl<R> CountingRng<R> {
-    /// Wraps `inner` with a zeroed draw counter.
-    pub fn new(inner: R) -> Self {
-        CountingRng { inner, draws: 0 }
-    }
-
-    /// Draws observed so far.
-    pub fn draws(&self) -> u64 {
-        self.draws
-    }
-
-    /// The wrapped generator.
-    pub fn inner(&self) -> &R {
-        &self.inner
-    }
-}
-
-impl<R: RngCore> RngCore for CountingRng<R> {
-    fn next_u32(&mut self) -> u32 {
-        self.draws += 1;
-        self.inner.next_u32()
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.draws += 1;
-        self.inner.next_u64()
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        self.draws += 1;
-        self.inner.fill_bytes(dest);
-    }
-
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), Error> {
-        self.draws += 1;
-        self.inner.try_fill_bytes(dest)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1071,18 +1017,5 @@ mod tests {
              {\"type\":\"histogram\",\"name\":\"puf.latency\",\"count\":3,\"sum\":1008,\
              \"min\":3,\"max\":1000,\"counts\":[0,0,1,1,0,0,0,0,0,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}\n"
         );
-    }
-
-    #[test]
-    fn counting_rng_preserves_the_stream() {
-        let mut plain = StdRng::seed_from_u64(5);
-        let mut counted = CountingRng::new(StdRng::seed_from_u64(5));
-        let a: Vec<u64> = (0..10).map(|_| plain.next_u64()).collect();
-        let b: Vec<u64> = (0..10).map(|_| counted.next_u64()).collect();
-        assert_eq!(a, b);
-        assert_eq!(counted.draws(), 10);
-        let mut buf = [0u8; 16];
-        counted.fill_bytes(&mut buf);
-        assert_eq!(counted.draws(), 11);
     }
 }
