@@ -217,6 +217,8 @@ impl PhotonicPuf {
             config.flush_samples,
             config.response_bits,
         );
+        // Each update is one push of a finished entry, so the list is
+        // valid even if a panic poisoned the lock.
         let mut plans = PLANS.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some((_, plan)) = plans.iter().find(|(k, _)| *k == key) {
             return Arc::clone(plan);
